@@ -6,6 +6,8 @@ exact-diagonalization oracle and closed-form references for the builtin
 families (homogeneous, Krawtchouk, rainbow, cosine, asymmetric cosine).
 """
 
+__version__ = "0.1.0"
+
 from . import analytic, exact, numerics, profiles, wkb
 from .exact import (
     CorrelationMatrix,
@@ -49,5 +51,3 @@ from .wkb import (
     xi,
     xi_star,
 )
-
-__version__ = "0.1.0"

@@ -10,21 +10,11 @@ a*rho in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .numerics import IntegrandSpec, Tolerance, clausen_cl2, integrate
-
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """A closed-form evaluator tagged by chain family and quantity."""
-
-    family: str
-    quantity: str
-    evaluator: Callable
 
 
 # --- homogeneous chain ---------------------------------------------------
@@ -234,28 +224,3 @@ ASYMMETRIC_COSINE_TABLE = (
 def asymmetric_cosine_critical_energies() -> Tuple[Tuple[float, float], ...]:
     """(e_i, nu_i) pairs where the well topology of the chain changes."""
     return ASYMMETRIC_COSINE_TABLE
-
-
-CLOSED_FORMS: Tuple[ClosedFormResult, ...] = (
-    ClosedFormResult("homogeneous", "spectrum", homogeneous_spectrum),
-    ClosedFormResult("homogeneous", "density", homogeneous_density_exact),
-    ClosedFormResult("krawtchouk", "turning_points", krawtchouk_turning_points),
-    ClosedFormResult("krawtchouk", "spacing", krawtchouk_spacing),
-    ClosedFormResult("rainbow", "turning_points", rainbow_turning_points),
-    ClosedFormResult("rainbow", "dos", rainbow_dos),
-    ClosedFormResult("rainbow", "filling", rainbow_filling),
-    ClosedFormResult("rainbow", "envelope", rainbow_envelope),
-    ClosedFormResult("cosine", "turning_points", cosine_turning_points),
-    ClosedFormResult("cosine", "density", cosine_density),
-    ClosedFormResult("cosine", "max_depletion_filling", cosine_numax),
-    ClosedFormResult("asymmetric_cosine", "critical_energies",
-                     asymmetric_cosine_critical_energies),
-)
-
-
-def closed_form(family: str, quantity: str) -> Callable:
-    """Look up a closed-form evaluator by family and quantity tag."""
-    for entry in CLOSED_FORMS:
-        if entry.family == family and entry.quantity == quantity:
-            return entry.evaluator
-    raise KeyError(f"no closed form for ({family!r}, {quantity!r})")

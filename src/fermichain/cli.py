@@ -9,29 +9,23 @@ parameters.  Outputs are plot-ready CSV (17 significant digits) or JSON,
 each with a header echoing the config; timestamps are suppressed under
 --deterministic so reruns byte-reproduce the data.  Exit codes: 1 config
 error, 2 numerical error, 3 I/O error.
-
-The environment variable CHAIN_NUM_THREADS caps how many reproduction
-targets run concurrently (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import analytic, exact, profiles, wkb
+from . import __version__, analytic, exact, profiles, wkb
 from .numerics import NumericsError
-
-VERSION = "0.1.0"
 
 TASKS = (
     "spectrum", "density", "filling-curve", "wells",
@@ -121,7 +115,7 @@ def _write_table(cfg: RunConfig, name: str, meta: dict, columns: Dict[str, Seque
             "root": {"abs": DEFAULT_ROOT_TOL.abs_tol,
                      "rel": DEFAULT_ROOT_TOL.rel_tol},
         },
-        "version": f"fermichain {VERSION}",
+        "version": f"fermichain {__version__}",
         **meta,
     }
     if not cfg.deterministic:
@@ -158,19 +152,22 @@ def _is_nan(v) -> bool:
 
 # --- task runners ----------------------------------------------------------
 
+def _read_json(path: Path, what: str):
+    """Parsed JSON file; a missing file or a syntax error is a ConfigError."""
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} parse error in {path}: line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}") from exc
+
+
 def _profile_pair(cfg: RunConfig):
     record = cfg.profile
     if "path" in record:
-        path = Path(record["path"])
-        try:
-            record = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"profile file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"profile parse error in {path}: line {exc.lineno}, "
-                              f"column {exc.colno}: {exc.msg}") from exc
-    lat, cont = profiles.from_config(record)
-    return lat, cont
+        record = _read_json(Path(record["path"]), "profile")
+    return profiles.from_config(record)
 
 
 def _need_continuum(cont, task: str):
@@ -182,11 +179,14 @@ def _need_continuum(cont, task: str):
 
 def _resolve_energy(cfg: RunConfig, lat) -> float:
     params = cfg.params
+    if "mode_index" in params:
+        k = int(params["mode_index"])
+        if not 0 <= k < lat.num_sites:
+            raise ConfigError(f"mode_index {k} outside [0, {lat.num_sites})")
     if "energy" in params:
         return float(params["energy"])
     if "mode_index" in params:
-        spectrum = exact.diagonalize(lat)
-        return float(spectrum.energies[int(params["mode_index"])])
+        return float(exact.diagonalize(lat).energies[k])
     raise ConfigError("task needs 'energy' or 'mode_index'")
 
 
@@ -207,6 +207,9 @@ def _fillings_to_M(params: dict, N: int) -> List[int]:
         raise ConfigError("density/compare tasks need 'fillings' or 'M'")
     if not out:
         raise ConfigError("empty fillings list")
+    bad = [M for M in out if not 1 <= M <= N]
+    if bad:
+        raise ConfigError(f"particle numbers {bad} outside [1, {N}]")
     return out
 
 
@@ -231,7 +234,7 @@ def run_density(cfg: RunConfig) -> List[Path]:
     return out
 
 
-def run_filling_curve(cfg: RunConfig) -> List[Path]:
+def run_filling_curve(cfg: RunConfig, stem: str = "filling_curve") -> List[Path]:
     lat, cont = _profile_pair(cfg)
     cont = _need_continuum(cont, cfg.task)
     params = cfg.params
@@ -245,7 +248,7 @@ def run_filling_curve(cfg: RunConfig) -> List[Path]:
     spectrum = exact.diagonalize(lat)
     nu_exact = [float(np.sum(spectrum.energies <= e)) / lat.num_sites for e in es]
     nu_wkb = [wkb.filling_fraction(cont, float(e)) for e in es]
-    return [_write_table(cfg, "filling_curve", {},
+    return [_write_table(cfg, stem, {},
                          {"energy": list(es),
                           "nu_exact": nu_exact,
                           "nu_wkb": nu_wkb})]
@@ -269,7 +272,7 @@ def run_wells(cfg: RunConfig) -> List[Path]:
     )]
 
 
-def run_envelope(cfg: RunConfig) -> List[Path]:
+def run_envelope(cfg: RunConfig, stem: str = "envelope") -> List[Path]:
     lat, cont = _profile_pair(cfg)
     cont = _need_continuum(cont, cfg.task)
     e = _resolve_energy(cfg, lat)
@@ -283,13 +286,16 @@ def run_envelope(cfg: RunConfig) -> List[Path]:
         keep = np.isin(grid, x)
         a = lat.lattice_spacing
         cols["mode_exact"] = list(spectrum.modes[keep, k] / np.sqrt(a))
-    return [_write_table(cfg, "envelope", {"energy": e}, cols)]
+    return [_write_table(cfg, stem, {"energy": e}, cols)]
 
 
 def run_frequencies(cfg: RunConfig) -> List[Path]:
     lat, cont = _profile_pair(cfg)
     cont = _need_continuum(cont, cfg.task)
     e = _resolve_energy(cfg, lat)
+    band = cfg.params.get("mode_band")
+    if band and not 0 <= int(band[0]) <= int(band[1]) <= lat.num_sites:
+        raise ConfigError(f"mode_band {band} outside [0, {lat.num_sites}]")
     wd = wkb.wells(cont, e)
     freqs = wkb.well_frequencies(wd)
     paths = [_write_table(
@@ -297,7 +303,6 @@ def run_frequencies(cfg: RunConfig) -> List[Path]:
         {"well": list(range(len(wd.wells))),
          "frequency": list(freqs)},
     )]
-    band = cfg.params.get("mode_band")
     if band:
         spectrum = exact.diagonalize(lat)
         counts = [0] * len(wd.wells)
@@ -343,101 +348,35 @@ def run_compare(cfg: RunConfig) -> List[Path]:
 
 # --- reproduction targets ---------------------------------------------------
 
-def _target_cfg(cfg: RunConfig, name: str, profile: dict, params: dict) -> RunConfig:
-    return RunConfig(
-        task=cfg.task, profile=profile, params=params,
-        out_dir=cfg.out_dir / name, fmt=cfg.fmt, deterministic=cfg.deterministic,
-    )
+@dataclass(frozen=True)
+class _Job:
+    """One task run of a reproduction target, written under the target's name.
+
+    ``stem`` overrides the output name of the envelope and filling-curve
+    runners; ``companion`` writes a closed-form table next to the run's output.
+    """
+
+    task: str
+    profile: dict
+    params: dict
+    stem: Optional[str] = None
+    companion: Optional[Callable[[RunConfig], Path]] = None
 
 
-def _reproduce_homogeneous_density(cfg):
-    sub = _target_cfg(cfg, "homogeneous-density",
-                      {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
-                       "N": 400},
-                      {"fillings": [0.25, 0.5]})
-    sub.task = "density"
-    return run_density(sub)
+def _builtin(family: str, parameters: dict) -> dict:
+    return {"family": family, "parameters": parameters, "N": 400}
 
 
-def _reproduce_krawtchouk_density(cfg):
-    sub = _target_cfg(cfg, "krawtchouk-density",
-                      {"family": "krawtchouk", "parameters": {"q": 0.25}, "N": 400},
-                      {"fillings": [0.125, 0.5, 0.875]})
-    sub.task = "density"
-    return run_density(sub)
+def _rainbow_closed_filling(cfg: RunConfig) -> Path:
+    h = cfg.profile["parameters"]["h"]
+    grid = cfg.params["energy_grid"]
+    es = np.linspace(grid["min"], grid["max"], grid["count"])
+    closed = [analytic.rainbow_filling(h, float(e)) for e in es]
+    return _write_table(cfg, f"filling_closed_h{h:g}", {"h": h},
+                        {"energy": list(es), "nu_closed": closed})
 
 
-def _reproduce_krawtchouk_envelopes(cfg):
-    out = []
-    for nu in (0.125, 0.5, 0.875):
-        sub = _target_cfg(cfg, "krawtchouk-envelopes",
-                          {"family": "krawtchouk", "parameters": {"q": 0.25}, "N": 400},
-                          {"mode_index": int(400 * nu)})
-        sub.task = "envelope"
-        paths = run_envelope(sub)
-        for p in paths:
-            renamed = p.with_name(f"envelope_nu{nu}".replace(".", "_") + p.suffix)
-            p.rename(renamed)
-            out.append(renamed)
-    return out
-
-
-def _reproduce_rainbow_filling(cfg):
-    out = []
-    for h in (1.0, 10.0):
-        sub = _target_cfg(cfg, "rainbow-filling",
-                          {"family": "rainbow", "parameters": {"h": h}, "N": 400},
-                          {"energy_grid": {"min": -1.0, "max": 1.0, "count": 81}})
-        sub.task = "filling-curve"
-        paths = run_filling_curve(sub)
-        lat, cont = profiles.from_config(sub.profile)
-        es = np.linspace(-1.0, 1.0, 81)
-        closed = [analytic.rainbow_filling(h, float(e)) for e in es]
-        out.append(_write_table(sub, f"filling_closed_h{h:g}", {"h": h},
-                                {"energy": list(es), "nu_closed": closed}))
-        for p in paths:
-            renamed = p.with_name(f"filling_curve_h{h:g}" + p.suffix)
-            p.rename(renamed)
-            out.append(renamed)
-    return out
-
-
-def _reproduce_rainbow_density(cfg):
-    sub = _target_cfg(cfg, "rainbow-density",
-                      {"family": "rainbow", "parameters": {"h": 1.0}, "N": 400},
-                      {"fillings": [0.125, 0.4]})
-    sub.task = "density"
-    return run_density(sub)
-
-
-def _reproduce_rainbow_envelopes(cfg):
-    out = []
-    for k in (50, 160):
-        sub = _target_cfg(cfg, "rainbow-envelopes",
-                          {"family": "rainbow", "parameters": {"h": 1.0}, "N": 400},
-                          {"mode_index": k})
-        sub.task = "envelope"
-        for p in run_envelope(sub):
-            renamed = p.with_name(f"envelope_mode{k}" + p.suffix)
-            p.rename(renamed)
-            out.append(renamed)
-    return out
-
-
-def _reproduce_cosine_density(cfg):
-    sub = _target_cfg(cfg, "cosine-density",
-                      {"family": "cosine", "parameters": {"J0": 0.5}, "N": 400},
-                      {"fillings": [0.4, 0.6, 0.1, 0.9]})
-    sub.task = "density"
-    return run_density(sub)
-
-
-def _reproduce_cosine_filling(cfg):
-    sub = _target_cfg(cfg, "cosine-filling",
-                      {"family": "cosine", "parameters": {"J0": 0.5}, "N": 400},
-                      {"energy_grid": {"min": -3.0, "max": 3.0, "count": 121}})
-    sub.task = "filling-curve"
-    out = run_filling_curve(sub)
+def _cosine_numax(cfg: RunConfig) -> Path:
     # Maximum filling with a depletion interval: WKB curve vs the exact
     # threshold (largest M/N with min site density below 0.01).
     J0s = np.linspace(0.05, 0.95, 19)
@@ -455,52 +394,81 @@ def _reproduce_cosine_filling(cfg):
             else:
                 hi = mid
         numax_exact.append(lo / 400)
-    out.append(_write_table(sub, "numax", {"exact_threshold": 0.01},
-                            {"J0": list(J0s),
-                             "numax_wkb": numax_wkb,
-                             "numax_exact": numax_exact}))
-    return out
+    return _write_table(cfg, "numax", {"exact_threshold": 0.01},
+                        {"J0": list(J0s),
+                         "numax_wkb": numax_wkb,
+                         "numax_exact": numax_exact})
 
 
-def _reproduce_asymmetric_cosine_density(cfg):
-    sub = _target_cfg(cfg, "asymmetric-cosine-density",
-                      {"family": "asymmetric_cosine",
-                       "parameters": {"J0": 0.75, "b": 5.0, "r": 2}, "N": 400},
-                      {"fillings": [0.21, 0.4725, 0.77]})
-    sub.task = "density"
-    return run_density(sub)
-
-
-def _reproduce_asymmetric_cosine_frequencies(cfg):
-    N = 400
-    sub = _target_cfg(cfg, "asymmetric-cosine-frequencies",
-                      {"family": "asymmetric_cosine",
-                       "parameters": {"J0": 0.75, "b": 5.0, "r": 2}, "N": N},
-                      {"mode_index": N // 2 - 1,
-                       "mode_band": [N // 2 - 21, N // 2 + 19]})
-    sub.task = "frequencies"
-    out = run_frequencies(sub)
-    lat, cont = profiles.from_config(sub.profile)
+def _critical_fillings(cfg: RunConfig) -> Path:
+    _, cont = profiles.from_config(cfg.profile)
     rows = analytic.asymmetric_cosine_critical_energies()
     nu_wkb = [wkb.filling_fraction(cont, e) for e, _ in rows]
-    out.append(_write_table(sub, "critical_fillings", {},
-                            {"e_i": [e for e, _ in rows],
-                             "nu_i": [nu for _, nu in rows],
-                             "nu_wkb": nu_wkb}))
-    return out
+    return _write_table(cfg, "critical_fillings", {},
+                        {"e_i": [e for e, _ in rows],
+                         "nu_i": [nu for _, nu in rows],
+                         "nu_wkb": nu_wkb})
+
+
+_KRAWTCHOUK = {"q": 0.25}
+_ASYMMETRIC_COSINE = {"J0": 0.75, "b": 5.0, "r": 2}
+
+_TARGETS: Dict[str, List[_Job]] = {
+    "homogeneous-density": [
+        _Job("density", _builtin("homogeneous", {"J": 1.0, "B": 0.0}),
+             {"fillings": [0.25, 0.5]})],
+    "krawtchouk-density": [
+        _Job("density", _builtin("krawtchouk", _KRAWTCHOUK),
+             {"fillings": [0.125, 0.5, 0.875]})],
+    "krawtchouk-envelopes": [
+        _Job("envelope", _builtin("krawtchouk", _KRAWTCHOUK),
+             {"mode_index": int(400 * nu)},
+             stem=f"envelope_nu{nu}".replace(".", "_"))
+        for nu in (0.125, 0.5, 0.875)],
+    "rainbow-filling": [
+        _Job("filling-curve", _builtin("rainbow", {"h": h}),
+             {"energy_grid": {"min": -1.0, "max": 1.0, "count": 81}},
+             stem=f"filling_curve_h{h:g}", companion=_rainbow_closed_filling)
+        for h in (1.0, 10.0)],
+    "rainbow-density": [
+        _Job("density", _builtin("rainbow", {"h": 1.0}),
+             {"fillings": [0.125, 0.4]})],
+    "rainbow-envelopes": [
+        _Job("envelope", _builtin("rainbow", {"h": 1.0}), {"mode_index": k},
+             stem=f"envelope_mode{k}")
+        for k in (50, 160)],
+    "cosine-density": [
+        _Job("density", _builtin("cosine", {"J0": 0.5}),
+             {"fillings": [0.4, 0.6, 0.1, 0.9]})],
+    "cosine-filling": [
+        _Job("filling-curve", _builtin("cosine", {"J0": 0.5}),
+             {"energy_grid": {"min": -3.0, "max": 3.0, "count": 121}},
+             companion=_cosine_numax)],
+    "asymmetric-cosine-density": [
+        _Job("density", _builtin("asymmetric_cosine", _ASYMMETRIC_COSINE),
+             {"fillings": [0.21, 0.4725, 0.77]})],
+    "asymmetric-cosine-frequencies": [
+        _Job("frequencies", _builtin("asymmetric_cosine", _ASYMMETRIC_COSINE),
+             {"mode_index": 199, "mode_band": [179, 219]},
+             companion=_critical_fillings)],
+}
+
+
+def _run_target(name: str, cfg: RunConfig) -> List[Path]:
+    paths: List[Path] = []
+    for job in _TARGETS[name]:
+        sub = RunConfig(task=job.task, profile=job.profile, params=job.params,
+                        out_dir=cfg.out_dir / name, fmt=cfg.fmt,
+                        deterministic=cfg.deterministic)
+        stem = {} if job.stem is None else {"stem": job.stem}
+        paths.extend(RUNNERS[job.task](sub, **stem))
+        if job.companion is not None:
+            paths.append(job.companion(sub))
+    return paths
 
 
 REPRODUCE_TARGETS: Dict[str, Callable] = {
-    "homogeneous-density": _reproduce_homogeneous_density,
-    "krawtchouk-density": _reproduce_krawtchouk_density,
-    "krawtchouk-envelopes": _reproduce_krawtchouk_envelopes,
-    "rainbow-filling": _reproduce_rainbow_filling,
-    "rainbow-density": _reproduce_rainbow_density,
-    "rainbow-envelopes": _reproduce_rainbow_envelopes,
-    "cosine-density": _reproduce_cosine_density,
-    "cosine-filling": _reproduce_cosine_filling,
-    "asymmetric-cosine-density": _reproduce_asymmetric_cosine_density,
-    "asymmetric-cosine-frequencies": _reproduce_asymmetric_cosine_frequencies,
+    name: partial(_run_target, name) for name in _TARGETS
 }
 
 
@@ -520,17 +488,7 @@ def run_reproduce(cfg: RunConfig) -> List[Path]:
         unknown = [n for n in names if n not in REPRODUCE_TARGETS]
         if unknown:
             raise ConfigError(f"unknown reproduce target(s): {unknown}")
-    workers = max(1, int(os.environ.get("CHAIN_NUM_THREADS", "1")))
-    paths: List[Path] = []
-    if workers == 1:
-        for name in names:
-            paths.extend(REPRODUCE_TARGETS[name](cfg))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(REPRODUCE_TARGETS[n], cfg): n for n in names}
-            for fut in futures:
-                paths.extend(fut.result())
-    return paths
+    return [p for name in names for p in REPRODUCE_TARGETS[name](cfg)]
 
 
 RUNNERS = {
@@ -551,14 +509,7 @@ def run(cfg: RunConfig) -> List[Path]:
 
 
 def _load_config(task: str, args) -> RunConfig:
-    path = Path(args.config)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error in {path}: line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from exc
+    raw = _read_json(Path(args.config), "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     if "task" in raw and raw["task"] != task:

@@ -173,15 +173,6 @@ class AsymmetricCosine:
 
 FamilyParameters = Union[Homogeneous, Krawtchouk, Rainbow, Cosine, AsymmetricCosine]
 
-_FAMILY_NAMES = {
-    Homogeneous: "homogeneous",
-    Krawtchouk: "krawtchouk",
-    Rainbow: "rainbow",
-    Cosine: "cosine",
-    AsymmetricCosine: "asymmetric_cosine",
-}
-
-
 def make_builtin(
     family: FamilyParameters, N: int, lattice_spacing: float = 1.0
 ) -> Tuple[LatticeProfile, ContinuumProfile]:

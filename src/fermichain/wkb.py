@@ -418,29 +418,10 @@ def wkb_wavefunction(
     inside the well and identically zero outside; "combined" superposes
     all wells with the global normalization A (weights A / A_i per well).
     Grid points too close to a turning point are skipped, since the
-    amplitude diverges there.
+    amplitude diverges there.  This is :func:`envelope` times sin(phi*).
     """
-    if wd.is_empty:
-        raise UnsupportedRegimeError("no wells at this energy")
-    x = np.sort(np.asarray(grid, dtype=float))
-    x = x[_keep_mask(wd, x, c.length)]
-    ph = _phase_on_sorted(c, x, eps)
-    amp = _amplitude(c, x, eps)
-    values = np.zeros(x.size)
-    if well == "combined":
-        A = 1.0 / math.sqrt(wd.total_inv_norm)
-        for w in wd.wells:
-            inside = (x >= w.lower) & (x <= w.upper)
-            values[inside] = A * np.sin(ph[inside]) * amp[inside]
-    else:
-        i = int(well)
-        if not 0 <= i < len(wd.wells):
-            raise UnsupportedRegimeError(f"well index {i} out of range")
-        w = wd.wells[i]
-        A_i = 1.0 / math.sqrt(wd.inv_norms[i])
-        inside = (x >= w.lower) & (x <= w.upper)
-        values[inside] = A_i * np.sin(ph[inside]) * amp[inside]
-    return x, values
+    x, env = envelope(c, eps, wd, grid, well)
+    return x, env * np.sin(_phase_on_sorted(c, x, eps))
 
 
 def envelope(

@@ -237,14 +237,3 @@ def test_critical_fillings_match_wkb():
     _, cont = make_builtin(AsymmetricCosine(0.75, 5.0, 2), 400)
     for e, nu in asymmetric_cosine_critical_energies():
         assert wkb.filling_fraction(cont, e) == pytest.approx(nu, abs=5e-3)
-
-
-def test_closed_form_registry():
-    from fermichain.analytic import ClosedFormResult, closed_form, CLOSED_FORMS
-
-    assert closed_form("rainbow", "filling") is rainbow_filling
-    assert closed_form("krawtchouk", "spacing")(400) == 1 / 400
-    assert all(isinstance(e, ClosedFormResult) and callable(e.evaluator)
-               for e in CLOSED_FORMS)
-    with pytest.raises(KeyError):
-        closed_form("rainbow", "no-such-quantity")

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+import fermichain
 from fermichain import cli
 from fermichain.cli import compare_density, main, reproduce_catalog
 from fermichain.profiles import Krawtchouk, make_builtin
@@ -171,6 +173,32 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, params", [
+    ("density", {"fillings": [0.0]}),
+    ("compare", {"fillings": [0.0]}),
+    ("density", {"fillings": [1.5]}),
+    ("density", {"M": [41]}),
+    ("wells", {"mode_index": 400}),
+    ("envelope", {"mode_index": 400}),
+    ("frequencies", {"mode_index": 400}),
+    ("envelope", {"mode_index": -1}),
+    ("envelope", {"energy": 0.0, "mode_index": 40}),
+    ("frequencies", {"mode_index": 20, "mode_band": [10, 41]}),
+], ids=["density-empty", "compare-empty", "density-overfull", "density-M-above-N",
+        "wells-mode-above-N", "envelope-mode-above-N", "frequencies-mode-above-N",
+        "envelope-negative-mode", "envelope-energy-and-bad-mode",
+        "frequencies-band-above-N"])
+def test_out_of_range_input_is_config_error(tmp_path, capsys, task, params):
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
+                    "N": 40},
+        **params,
+    })
+    assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_density_needs_continuum(tmp_path):
     cfgfile = _write_config(tmp_path, {
         "profile": {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}},
@@ -216,8 +244,7 @@ def test_profile_from_file_path(tmp_path):
     assert main(["spectrum", "--config", cfgfile, "--out", str(out)]) == 1
 
 
-def test_reproduce_figure_alias_and_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHAIN_NUM_THREADS", "2")
+def test_reproduce_figure_alias(tmp_path):
     cfgfile = _write_config(tmp_path, {"figure": "rainbow-density"})
     out = tmp_path / "out"
     assert main(["reproduce", "--config", cfgfile, "--out", str(out),
@@ -238,6 +265,17 @@ def test_output_header_echoes_tolerances(tmp_path):
     assert any("config" in h for h in header)
 
 
+def test_output_header_carries_package_version(tmp_path):
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
+                    "N": 6},
+    })
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfgfile, "--out", str(out)]) == 0
+    header, _, _ = _read_csv(out / "spectrum.csv")
+    assert f"# version: fermichain {fermichain.__version__}" in header
+
+
 def test_reproduce_full_catalog_runs_fast(tmp_path):
     # Every target must finish end-to-end at N = 400 in well under a
     # minute; the whole catalog takes a few seconds in practice.
@@ -245,6 +283,23 @@ def test_reproduce_full_catalog_runs_fast(tmp_path):
 
     from fermichain.cli import REPRODUCE_TARGETS, RunConfig
 
+    expected = {
+        "homogeneous-density": {"density_M100", "density_M200"},
+        "krawtchouk-density": {"density_M50", "density_M200", "density_M350"},
+        "krawtchouk-envelopes": {"envelope_nu0_125", "envelope_nu0_5",
+                                 "envelope_nu0_875"},
+        "rainbow-filling": {"filling_curve_h1", "filling_closed_h1",
+                            "filling_curve_h10", "filling_closed_h10"},
+        "rainbow-density": {"density_M50", "density_M160"},
+        "rainbow-envelopes": {"envelope_mode50", "envelope_mode160"},
+        "cosine-density": {"density_M40", "density_M160", "density_M240",
+                           "density_M360"},
+        "cosine-filling": {"filling_curve", "numax"},
+        "asymmetric-cosine-density": {"density_M84", "density_M189", "density_M308"},
+        "asymmetric-cosine-frequencies": {"frequencies", "localization_counts",
+                                          "critical_fillings"},
+    }
+    assert sorted(REPRODUCE_TARGETS) == sorted(expected)
     out = tmp_path / "out"
     cfg = RunConfig(task="reproduce", profile={}, params={},
                     out_dir=out, fmt="csv", deterministic=True)
@@ -254,6 +309,9 @@ def test_reproduce_full_catalog_runs_fast(tmp_path):
         elapsed = time.perf_counter() - t0
         assert elapsed < 60, f"{name} took {elapsed:.1f}s"
         assert paths and all(p.exists() for p in paths), name
+        assert sorted(p.name for p in (out / name).iterdir()) == \
+            sorted(f"{stem}.csv" for stem in expected[name]), name
+        assert len(paths) == len(expected[name]), name
         # both exact and WKB series somewhere in each target's output
         text = "".join(p.read_text() for p in paths)
         assert "exact" in text and ("wkb" in text or "envelope" in text), name

@@ -16,6 +16,7 @@ from .exact import (
     correlation_matrix,
     density_exact,
     diagonalize,
+    eigenvalues,
     entanglement_entropy,
     filled_state,
 )

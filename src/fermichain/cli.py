@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -177,32 +178,69 @@ def _need_continuum(cont, task: str):
     return cont
 
 
-def _resolve_energy(cfg: RunConfig, lat) -> float:
-    params = cfg.params
-    if "mode_index" in params:
-        k = int(params["mode_index"])
-        if not 0 <= k < lat.num_sites:
-            raise ConfigError(f"mode_index {k} outside [0, {lat.num_sites})")
-    if "energy" in params:
-        return float(params["energy"])
-    if "mode_index" in params:
-        return float(exact.diagonalize(lat).energies[k])
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _list_of(params: dict, key: str, check, what: str) -> list:
+    values = params[key]
+    if not isinstance(values, list) or not all(check(v) for v in values):
+        raise ConfigError(f"{key!r} must be a list of {what}, got {values!r}")
+    return values
+
+
+def _mode_index(params: dict, N: int) -> Optional[int]:
+    """The validated ``mode_index`` parameter, or None when it is absent."""
+    if "mode_index" not in params:
+        return None
+    k = params["mode_index"]
+    if not _is_int(k):
+        raise ConfigError(f"mode_index must be an integer, got {k!r}")
+    if not 0 <= k < N:
+        raise ConfigError(f"mode_index {k} outside [0, {N})")
+    return k
+
+
+def _resolve_energy(cfg: RunConfig, lat, spectrum=None) -> float:
+    """The task energy: ``energy`` if given, else that of mode ``mode_index``.
+
+    ``spectrum`` is the runner's own diagonalization, reused when given.
+    """
+    k = _mode_index(cfg.params, lat.num_sites)
+    if "energy" in cfg.params:
+        e = cfg.params["energy"]
+        if not _is_real(e):
+            raise ConfigError(f"energy must be a finite number, got {e!r}")
+        return float(e)
+    if k is not None:
+        if spectrum is None:
+            spectrum = exact.diagonalize(lat)
+        return float(spectrum.energies[k])
     raise ConfigError("task needs 'energy' or 'mode_index'")
 
 
 def run_spectrum(cfg: RunConfig) -> List[Path]:
     lat, _ = _profile_pair(cfg)
-    spectrum = exact.diagonalize(lat)
     return [_write_table(cfg, "spectrum", {"N": lat.num_sites},
                          {"k": list(range(lat.num_sites)),
-                          "energy": list(spectrum.energies)})]
+                          "energy": list(exact.eigenvalues(lat))})]
 
 
 def _fillings_to_M(params: dict, N: int) -> List[int]:
     if "fillings" in params:
-        out = [int(round(nu * N)) for nu in params["fillings"]]
+        fillings = _list_of(params, "fillings", _is_real, "finite numbers")
+        out = [int(round(nu * N)) for nu in fillings]
     elif "M" in params:
-        out = [int(m) for m in params["M"]]
+        out = _list_of(params, "M", _is_int, "integers")
     else:
         raise ConfigError("density/compare tasks need 'fillings' or 'M'")
     if not out:
@@ -239,14 +277,21 @@ def run_filling_curve(cfg: RunConfig, stem: str = "filling_curve") -> List[Path]
     cont = _need_continuum(cont, cfg.task)
     params = cfg.params
     if "energies" in params:
-        es = np.asarray(params["energies"], dtype=float)
+        es = np.asarray(_list_of(params, "energies", _is_real, "finite numbers"),
+                        dtype=float)
     else:
         grid = params.get("energy_grid", {})
+        bad = ConfigError("energy_grid must be {min, max, count} with finite min "
+                          f"and max and an integer count >= 1, got {grid!r}")
+        if not isinstance(grid, dict):
+            raise bad
         lo, hi = profiles.gerschgorin_bounds(lat)
-        es = np.linspace(float(grid.get("min", lo)), float(grid.get("max", hi)),
-                         int(grid.get("count", 101)))
-    spectrum = exact.diagonalize(lat)
-    nu_exact = [float(np.sum(spectrum.energies <= e)) / lat.num_sites for e in es]
+        lo, hi, count = grid.get("min", lo), grid.get("max", hi), grid.get("count", 101)
+        if not (_is_real(lo) and _is_real(hi) and _is_int(count) and count >= 1):
+            raise bad
+        es = np.linspace(float(lo), float(hi), count)
+    energies = exact.eigenvalues(lat)
+    nu_exact = [float(np.sum(energies <= e)) / lat.num_sites for e in es]
     nu_wkb = [wkb.filling_fraction(cont, float(e)) for e in es]
     return [_write_table(cfg, stem, {},
                          {"energy": list(es),
@@ -275,14 +320,14 @@ def run_wells(cfg: RunConfig) -> List[Path]:
 def run_envelope(cfg: RunConfig, stem: str = "envelope") -> List[Path]:
     lat, cont = _profile_pair(cfg)
     cont = _need_continuum(cont, cfg.task)
-    e = _resolve_energy(cfg, lat)
+    k = _mode_index(cfg.params, lat.num_sites)
+    spectrum = None if k is None else exact.diagonalize(lat)
+    e = _resolve_energy(cfg, lat, spectrum)
     wd = wkb.wells(cont, e)
     grid = lat.mode_positions  # eigenvector component n sits at (n+1) a
     x, env = wkb.envelope(cont, e, wd, grid)
     cols = {"x": list(x), "envelope_plus": list(env), "envelope_minus": list(-env)}
-    if "mode_index" in cfg.params:
-        spectrum = exact.diagonalize(lat)
-        k = int(cfg.params["mode_index"])
+    if spectrum is not None:
         keep = np.isin(grid, x)
         a = lat.lattice_spacing
         cols["mode_exact"] = list(spectrum.modes[keep, k] / np.sqrt(a))
@@ -292,10 +337,15 @@ def run_envelope(cfg: RunConfig, stem: str = "envelope") -> List[Path]:
 def run_frequencies(cfg: RunConfig) -> List[Path]:
     lat, cont = _profile_pair(cfg)
     cont = _need_continuum(cont, cfg.task)
-    e = _resolve_energy(cfg, lat)
     band = cfg.params.get("mode_band")
-    if band and not 0 <= int(band[0]) <= int(band[1]) <= lat.num_sites:
-        raise ConfigError(f"mode_band {band} outside [0, {lat.num_sites}]")
+    if band is not None:
+        if not (isinstance(band, list) and len(band) == 2
+                and all(_is_int(b) for b in band)):
+            raise ConfigError(f"mode_band must be two integers [lo, hi), got {band!r}")
+        if not 0 <= band[0] <= band[1] <= lat.num_sites:
+            raise ConfigError(f"mode_band {band} outside [0, {lat.num_sites}]")
+    spectrum = None if band is None else exact.diagonalize(lat)
+    e = _resolve_energy(cfg, lat, spectrum)
     wd = wkb.wells(cont, e)
     freqs = wkb.well_frequencies(wd)
     paths = [_write_table(
@@ -303,11 +353,10 @@ def run_frequencies(cfg: RunConfig) -> List[Path]:
         {"well": list(range(len(wd.wells))),
          "frequency": list(freqs)},
     )]
-    if band:
-        spectrum = exact.diagonalize(lat)
+    if band is not None:
         counts = [0] * len(wd.wells)
         deloc = 0
-        for k in range(int(band[0]), int(band[1])):
+        for k in range(*band):
             idx = exact.localize_eigenfunction(spectrum, k, wd)
             if idx is None:
                 deloc += 1

@@ -1,7 +1,8 @@
 """Exact diagonalization of finite chains.
 
-Single-particle spectra and eigenfunctions of the tridiagonal Hamiltonian,
-the monic orthogonal-polynomial recurrence used as a spectral cross-check,
+Single-particle spectra of the tridiagonal Hamiltonian, with eigenfunctions
+(``diagonalize``) or without (``eigenvalues``), the monic
+orthogonal-polynomial recurrence used as a spectral cross-check,
 correlation matrices of M-filled states, exact local densities, block
 entanglement entropies, and per-well eigenfunction localization.  This
 module is the oracle against which the WKB asymptotics are validated.
@@ -60,16 +61,24 @@ class CorrelationMatrix:
     state: FilledState
 
 
+_SIGN_BLOCK = 256
+
+
 def _fix_signs(v: np.ndarray) -> np.ndarray:
-    # First component above a relative threshold decides the column sign;
-    # a hard zero test would make golden outputs depend on rounding noise.
-    out = v.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        big = np.abs(col) > 1e-12 * np.abs(col).max()
-        first = int(np.argmax(big))
-        if col[first] < 0:
-            out[:, k] = -col
+    """C-ordered copy of LAPACK's Fortran-ordered vectors, column signs fixed.
+
+    The first component above a relative threshold decides the column sign;
+    a hard zero test would make golden outputs depend on rounding noise.
+    Columns are taken in blocks, so the temporaries are N x 256 and the signs
+    are applied while writing the one C-ordered copy.
+    """
+    out = np.empty(v.shape)
+    for j in range(0, v.shape[1], _SIGN_BLOCK):
+        blk = v[:, j:j + _SIGN_BLOCK]
+        mag = np.abs(blk)
+        first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+        flip = blk[first, np.arange(blk.shape[1])] < 0
+        np.multiply(blk, np.where(flip, -1.0, 1.0), out=out[:, j:j + _SIGN_BLOCK])
     return out
 
 
@@ -78,6 +87,16 @@ def diagonalize(p: LatticeProfile) -> SingleParticleSpectrum:
     m = TridiagonalSymmetric(p.fields, p.hoppings)
     energies, modes = eigensolve_tridiagonal(m, want_vectors=True)
     return SingleParticleSpectrum(energies, _fix_signs(modes), p)
+
+
+def eigenvalues(p: LatticeProfile) -> np.ndarray:
+    """Ascending eigenvalues of the chain Hamiltonian, without eigenvectors.
+
+    LAPACK computes these without vectors, so they can differ from
+    ``diagonalize(p).energies`` in about the 13th significant digit.
+    """
+    m = TridiagonalSymmetric(p.fields, p.hoppings)
+    return eigensolve_tridiagonal(m, want_vectors=False)[0]
 
 
 def filled_state(s: SingleParticleSpectrum, M: int) -> FilledState:

@@ -43,6 +43,18 @@ def test_spectrum_task(tmp_path):
     assert np.abs(np.array(energies) - expect).max() < 1e-10
 
 
+def test_spectrum_energies_are_eigenvalues_only(tmp_path):
+    # The spectrum task skips the eigenvectors: its energies are exactly
+    # exact.eigenvalues, written with enough digits to round-trip.
+    record = {"family": "rainbow", "parameters": {"h": 1.0}, "N": 200}
+    cfgfile = _write_config(tmp_path, {"profile": record})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfgfile, "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out / "spectrum.csv")
+    lat, _ = fermichain.profiles.from_config(record)
+    assert np.array_equal([float(r[1]) for r in rows], fermichain.exact.eigenvalues(lat))
+
+
 def test_density_task_and_regions(tmp_path):
     cfgfile = _write_config(tmp_path, {
         "profile": {"family": "rainbow", "parameters": {"h": 1.0}, "N": 80},
@@ -184,10 +196,36 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     ("envelope", {"mode_index": -1}),
     ("envelope", {"energy": 0.0, "mode_index": 40}),
     ("frequencies", {"mode_index": 20, "mode_band": [10, 41]}),
+    ("density", {"fillings": ["a"]}),
+    ("density", {"fillings": 0.5}),
+    ("density", {"fillings": [float("nan")]}),
+    ("compare", {"fillings": [float("inf")]}),
+    ("density", {"M": [2.5]}),
+    ("density", {"M": [True]}),
+    ("envelope", {"mode_index": None}),
+    ("envelope", {"mode_index": "3"}),
+    ("wells", {"mode_index": True}),
+    ("wells", {"mode_index": 3.0}),
+    ("envelope", {"energy": "0.5"}),
+    ("wells", {"energy": None}),
+    ("frequencies", {"mode_index": 20, "mode_band": [10, "20"]}),
+    ("frequencies", {"mode_index": 20, "mode_band": [10]}),
+    ("frequencies", {"mode_index": 20, "mode_band": 5}),
+    ("filling-curve", {"energies": ["a"]}),
+    ("filling-curve", {"energy_grid": "x"}),
+    ("filling-curve", {"energy_grid": {"count": "a"}}),
+    ("filling-curve", {"energy_grid": {"min": None}}),
 ], ids=["density-empty", "compare-empty", "density-overfull", "density-M-above-N",
         "wells-mode-above-N", "envelope-mode-above-N", "frequencies-mode-above-N",
         "envelope-negative-mode", "envelope-energy-and-bad-mode",
-        "frequencies-band-above-N"])
+        "frequencies-band-above-N", "density-filling-string",
+        "density-fillings-not-list", "density-filling-nan", "compare-filling-inf",
+        "density-M-float", "density-M-bool", "envelope-mode-null",
+        "envelope-mode-string", "wells-mode-bool", "wells-mode-float",
+        "envelope-energy-string", "wells-energy-null", "frequencies-band-string",
+        "frequencies-band-one-int", "frequencies-band-scalar",
+        "filling-curve-energy-string", "filling-curve-grid-not-object",
+        "filling-curve-count-string", "filling-curve-min-null"])
 def test_out_of_range_input_is_config_error(tmp_path, capsys, task, params):
     cfgfile = _write_config(tmp_path, {
         "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},

@@ -15,7 +15,10 @@ from fermichain.exact import (
     filled_state,
     localize_eigenfunction,
 )
+from fermichain.numerics import TridiagonalSymmetric, eigensolve_tridiagonal
 from fermichain.profiles import (
+    AsymmetricCosine,
+    Cosine,
     Homogeneous,
     Krawtchouk,
     LatticeProfile,
@@ -87,6 +90,66 @@ def test_hopping_sign_flip_equivalence():
     d = density_exact(s, filled_state(s, M))
     df = density_exact(sf, filled_state(sf, M))
     assert np.abs(d - df).max() < 1e-10
+
+
+def _one_zero_hopping(N=400, cut=3):
+    # J_cut = 0 splits the chain; modes of the right block have exact zeros
+    # on sites 0..cut, so the first significant component is not site 0.
+    lat, _ = make_builtin(Homogeneous(1.0, 0.0), N)
+    J = lat.hoppings.copy()
+    J[cut] = 0.0
+    return LatticeProfile(J, np.linspace(-0.5, 0.5, N))
+
+
+_SIGN_CASES = [
+    pytest.param(lambda: make_builtin(Homogeneous(1.0, 0.0), 400)[0], id="homogeneous"),
+    pytest.param(lambda: make_builtin(Krawtchouk(q=0.25), 400)[0], id="krawtchouk"),
+    pytest.param(lambda: make_builtin(Rainbow(1.0), 400)[0], id="rainbow"),
+    pytest.param(lambda: make_builtin(Cosine(0.5), 400)[0], id="cosine"),
+    pytest.param(lambda: make_builtin(AsymmetricCosine(), 400)[0], id="asymmetric-cosine"),
+    pytest.param(_one_zero_hopping, id="one-zero-hopping"),
+]
+
+
+def _reference_signs(v):
+    # The column-by-column sign rule the blocked _fix_signs must reproduce.
+    out = v.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        big = np.abs(col) > 1e-12 * np.abs(col).max()
+        if col[int(np.argmax(big))] < 0:
+            out[:, k] = -col
+    return out
+
+
+@pytest.mark.parametrize("make_lat", _SIGN_CASES)
+def test_blocked_sign_fix_matches_column_rule_bitwise(make_lat):
+    lat = make_lat()
+    _, raw = eigensolve_tridiagonal(TridiagonalSymmetric(lat.fields, lat.hoppings))
+    modes = diagonalize(lat).modes
+    assert modes.flags.c_contiguous
+    assert np.array_equal(modes, _reference_signs(raw))
+
+
+def test_zero_hopping_modes_have_exact_leading_zeros():
+    # Guards the case above: the threshold rule must skip exact zeros.
+    modes = diagonalize(_one_zero_hopping()).modes
+    leading = np.argmax(modes != 0.0, axis=0)
+    assert np.sum(leading == 0) == 4          # the left block, sites 0..3
+    assert np.sum(leading >= 4) == 396        # the right block
+
+
+@pytest.mark.parametrize("make_lat", _SIGN_CASES)
+def test_eigenvalues_match_diagonalize(make_lat):
+    lat = make_lat()
+    E = diagonalize(lat).energies
+    w = exact.eigenvalues(lat)
+    assert w.shape == E.shape
+    assert np.abs(w - E).max() <= 1e-12 * np.abs(E).max()
+
+
+def test_eigenvalues_single_site():
+    assert exact.eigenvalues(LatticeProfile([], [5.0])).tolist() == [5.0]
 
 
 # --- filled state -------------------------------------------------------------

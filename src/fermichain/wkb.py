@@ -8,6 +8,10 @@ per-well normalizations, density of states, level spacing, filling
 fraction, the local fermion density with its depletion/saturation regions,
 approximate wavefunctions and envelopes, and a correlation kernel.
 
+The filling fraction and the phase are one integral: G(x), the integral
+of arccos(-xi*) from 0 to x, gives nu = G(l) / (pi l) and
+phi(x) = (pi x - G(x)) / a, hence nu = 1 - a * phi(l) / (pi l).
+
 Density samples are the dimensionless site occupancy a*rho in [0, 1]; the
 lattice spacing a is taken from the profile.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -208,7 +212,10 @@ def _scan_regions(
 def classified_regions(
     c: ContinuumProfile, eps: float, scan_resolution: int = DEFAULT_SCAN_RESOLUTION
 ) -> Tuple[Region, ...]:
-    """Depleted / partial / saturated intervals at energy ``eps``."""
+    """Depleted / partial / saturated intervals at energy ``eps``; a NaN
+    energy raises, -inf and +inf mean an empty and a full chain."""
+    if math.isnan(eps):
+        raise ValueError("energy is NaN")
     return _scan_regions(c, float(eps), int(scan_resolution))
 
 
@@ -251,30 +258,50 @@ def wells(
     return WellDecomposition(float(eps), tuple(ws), inv)
 
 
-def phase(c: ContinuumProfile, x: float, eps: float) -> float:
-    """WKB phase (1/a) * integral of arccos(xi*) from 0 to x.
+def _filled_integral(c: ContinuumProfile, xs: np.ndarray, eps: float) -> np.ndarray:
+    """G(x) = integral of arccos(-xi*) from 0 to each sorted position x:
+    pi per unit length on saturated stretches, nothing on depleted ones, one
+    quadrature per partial stretch between positions or region boundaries."""
+    def f(t):
+        return float(np.arccos(-np.clip(xi(c, t, eps), -1.0, 1.0)))
 
-    Depleted stretches contribute pi per unit length / a, saturated ones
-    nothing; the O(a^0) constant is fixed to zero.
-    """
-    if not 0.0 <= x <= c.length * (1 + 1e-12):
-        raise ValueError(f"x={x} outside [0, {c.length}]")
-    if x == 0.0:
-        return 0.0
-    total = 0.0
+    def piece(r: Region, lo: float, hi: float) -> float:
+        if r.kind == PARTIAL:
+            return integrate(IntegrandSpec(f, lo, hi))
+        return math.pi * (hi - lo) if r.kind == SATURATED else 0.0
+
+    out = np.empty(xs.size)
+    total, i = 0.0, 0
     for r in classified_regions(c, eps):
-        lo, hi = r.lower, min(r.upper, x)
-        if hi <= lo:
-            continue
-        if r.kind == DEPLETED:
-            total += math.pi * (hi - lo)
-        elif r.kind == PARTIAL:
-            def f(t):
-                return float(np.arccos(np.clip(xi(c, t, eps), -1.0, 1.0)))
-            total += integrate(IntegrandSpec(f, lo, hi))
-        if r.upper >= x:
+        prev = r.lower
+        while i < xs.size and xs[i] <= r.upper:
+            if xs[i] > prev:
+                total += piece(r, prev, xs[i])
+                prev = xs[i]
+            out[i] = total
+            i += 1
+        if i == xs.size:
             break
-    return total / c.lattice_spacing
+        total += piece(r, prev, r.upper)
+    return out
+
+
+def phase(c: ContinuumProfile, x, eps: float):
+    """WKB phase (1/a) * integral of arccos(xi*) from 0 to x = (pi x - G(x)) / a.
+
+    ``x`` is a position or an array of positions in any order.  Depleted
+    stretches contribute pi per unit length / a, saturated ones nothing;
+    the O(a^0) constant is fixed to zero.
+    """
+    xa = np.asarray(x, dtype=float)
+    order = np.argsort(xa, axis=None)  # NaN sorts last
+    xs = xa.ravel()[order]
+    if xs.size and not (xs[0] >= 0.0 and xs[-1] <= c.length * (1 + 1e-12)):
+        raise ValueError(f"x={x} outside [0, {c.length}]")
+    xs = np.minimum(xs, c.length)
+    out = np.empty(xa.shape)
+    out.flat[order] = (math.pi * xs - _filled_integral(c, xs, eps)) / c.lattice_spacing
+    return out if out.ndim else float(out)
 
 
 def density_of_states(c: ContinuumProfile, eps: float) -> float:
@@ -293,15 +320,8 @@ def level_spacing(c: ContinuumProfile, eps: float) -> float:
 
 def filling_fraction(c: ContinuumProfile, eps_F: float) -> float:
     """nu = (1 / pi l) * integral of arccos(-xi*(x, eps_F)) over the chain."""
-    total = 0.0
-    for r in classified_regions(c, eps_F):
-        if r.kind == SATURATED:
-            total += math.pi * (r.upper - r.lower)
-        elif r.kind == PARTIAL:
-            def f(t):
-                return float(np.arccos(-np.clip(xi(c, t, eps_F), -1.0, 1.0)))
-            total += integrate(IntegrandSpec(f, r.lower, r.upper))
-    return total / (math.pi * c.length)
+    ell = c.length
+    return float(_filled_integral(c, np.array([ell]), eps_F)[0]) / (math.pi * ell)
 
 
 def invert_filling(
@@ -365,24 +385,6 @@ def density_profile(
     return DensityProfile(x, dens, classified_regions(c, eps_F), float(eps_F))
 
 
-def _phase_on_sorted(c, pts: np.ndarray, eps: float) -> np.ndarray:
-    """Cumulative WKB phase at sorted positions (shared region splits)."""
-    regions = classified_regions(c, eps)
-    breakpoints = [r.lower for r in regions[1:]]
-    out = np.empty(pts.size)
-    acc = 0.0
-    prev = 0.0
-    for i, t in enumerate(pts):
-        if t > prev:
-            def f(s):
-                return float(np.arccos(np.clip(xi(c, s, eps), -1.0, 1.0)))
-            inner = [b for b in breakpoints if prev < b < t]
-            acc += integrate(IntegrandSpec(f, prev, t), points=inner or None)
-            prev = t
-        out[i] = acc
-    return out / c.lattice_spacing
-
-
 def _keep_mask(wd: WellDecomposition, x: np.ndarray, ell: float) -> np.ndarray:
     skip = TURNING_POINT_SKIP * ell
     mask = np.ones(x.size, dtype=bool)
@@ -421,7 +423,7 @@ def wkb_wavefunction(
     amplitude diverges there.  This is :func:`envelope` times sin(phi*).
     """
     x, env = envelope(c, eps, wd, grid, well)
-    return x, env * np.sin(_phase_on_sorted(c, x, eps))
+    return x, env * np.sin(phase(c, x, eps))
 
 
 def envelope(
@@ -465,20 +467,11 @@ def well_frequencies(wd: WellDecomposition) -> np.ndarray:
     return wd.inv_norms / wd.inv_norms.sum()
 
 
-def _kernel_integrand_factor(c, pos: float, eps: float) -> float:
-    g = float(_band_gap(c, np.array(pos), eps))
-    if g <= 0.0:
-        return 0.0
-    ph = phase(c, pos, eps)
-    return math.sin(ph) / math.sqrt(math.sqrt(g) / 2.0)
-
-
 def wkb_correlation_kernel(
     c: ContinuumProfile,
     eps_F: float,
     x: float,
     y: float,
-    energy_points: Optional[int] = None,
 ) -> float:
     """Correlation kernel C(x, y) = (1/pi) * int f(x, eps) f(y, eps) d eps.
 
@@ -488,6 +481,9 @@ def wkb_correlation_kernel(
     integral oscillates on the scale of the level spacing and is done by
     trapezoid on a uniform grid resolving ~20 points per local period.
     """
+    pts = np.unique([float(x), float(y)])  # NaN sorts last
+    if not (pts[0] >= 0.0 and pts[-1] <= c.length * (1 + 1e-12)):
+        raise ValueError(f"x={x}, y={y} outside [0, {c.length}]")
     lo, hi = band_bounds(c)
     if eps_F <= lo:
         return 0.0
@@ -499,20 +495,20 @@ def wkb_correlation_kernel(
             raise UnsupportedRegimeError(
                 f"multi-well energy {e}: kernel valid in the single-well regime only"
             )
-    if energy_points is None:
-        # |d phase / d eps| <= pi D(eps); sample the bound on a coarse grid.
-        ds = [density_of_states(c, float(e)) for e in probe[2::6]]
-        periods = (top - lo) * max(ds) * c.lattice_spacing / 2.0
-        energy_points = int(min(max(800, 20 * periods), 60000))
+    # |d phase / d eps| <= pi D(eps); sample the bound on a coarse grid.
+    ds = [density_of_states(c, float(e)) for e in probe[2::6]]
+    periods = (top - lo) * max(ds) * c.lattice_spacing / 2.0
+    energy_points = int(min(max(800, 20 * periods), 60000))
     # Cosine-clustered energy grid: interior sampling stays ~uniform (the
     # 20-per-period budget), while the quadratic clustering at both ends
     # regularizes the integrable (1 - xi^2)^(-1/2) band-edge divergence.
     t = np.linspace(0.0, 1.0, energy_points)
     es = lo + (top - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
     weight = (top - lo) * 0.5 * np.pi * np.sin(np.pi * t)
-    fx = np.array([_kernel_integrand_factor(c, x, float(e)) for e in es])
-    if y == x:
-        fy = fx
-    else:
-        fy = np.array([_kernel_integrand_factor(c, y, float(e)) for e in es])
+    f = np.zeros((energy_points, pts.size))
+    for k, e in enumerate(es):
+        amp = _amplitude(c, pts, e)
+        if amp.all():  # f(x) f(y) vanishes unless both points are allowed
+            f[k] = amp * np.sin(phase(c, pts, e))
+    fx, fy = (f[:, np.searchsorted(pts, p)] for p in (x, y))
     return float(np.trapezoid(fx * fy * weight, t) / math.pi)

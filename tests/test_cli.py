@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fermichain
-from fermichain import cli
+from fermichain import cli, exact
 from fermichain.cli import compare_density, main, reproduce_catalog
 from fermichain.profiles import Krawtchouk, make_builtin
 
@@ -84,11 +84,28 @@ def test_compare_task_reports_bulk_error(tmp_path):
 
 def test_compare_density_report_fields():
     lat, cont = make_builtin(Krawtchouk(q=0.25), 200)
-    rep = compare_density(lat, cont, 100)
+    rep = compare_density(exact.diagonalize(lat), cont, 100)
     assert rep.bulk_margin == 10
     assert 0 <= rep.bulk_sup_error <= rep.sup_error
     assert rep.mean_abs_error >= 0
     assert rep.runtime > 0
+
+
+def test_compare_diagonalizes_once(tmp_path, monkeypatch):
+    calls = []
+    diagonalize = exact.diagonalize
+
+    def counting(lat):
+        calls.append(lat)
+        return diagonalize(lat)
+
+    monkeypatch.setattr(exact, "diagonalize", counting)
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "rainbow", "parameters": {"h": 1.0}, "N": 40},
+        "fillings": [0.125, 0.25, 0.4],
+    })
+    assert main(["compare", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_deterministic_outputs_byte_identical(tmp_path):

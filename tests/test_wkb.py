@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fermichain import analytic, exact, wkb
+from fermichain.numerics import IntegrandSpec, integrate
 from fermichain.profiles import (
     AsymmetricCosine,
     Cosine,
@@ -175,6 +176,31 @@ def test_phase_below_band_is_pi_per_site(homogeneous):
     assert phase(cont, 50.0, -3.0) == pytest.approx(50 * math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("chain", ["homogeneous", "cosine", "asym_cosine"])
+@pytest.mark.parametrize("frac", [0.3, 0.7])
+def test_phase_on_array_matches_scalar(request, chain, frac):
+    # Unsorted, with duplicates and both chain ends.  The bound is relative
+    # to pi x / a, the scale of the phase at x, so points on saturated
+    # stretches (phase 0 up to rounding) are held to it too.
+    _, cont = request.getfixturevalue(chain)
+    lo, hi = wkb.band_bounds(cont)
+    eps = lo + frac * (hi - lo)
+    ell, a = cont.length, cont.lattice_spacing
+    xs = ell * np.array([1.0, 0.31, 0.0, 0.77, 0.31, 0.5, 1.0, 0.05, 0.93])
+    got = phase(cont, xs, eps)
+    assert got.shape == xs.shape
+    want = np.array([phase(cont, x, eps) for x in xs])
+    assert np.all(np.abs(got - want) <= 1e-12 * math.pi * xs / a)
+
+
+def test_phase_rejects_nan_position(homogeneous):
+    _, cont = homogeneous
+    with pytest.raises(ValueError):
+        phase(cont, np.array([10.0, math.nan, 30.0]), 0.5)
+    with pytest.raises(ValueError):
+        wkb_correlation_kernel(cont, 0.5, 10.0, math.nan)
+
+
 # --- density of states and spacing ----------------------------------------------
 
 def test_krawtchouk_dos_constant(krawtchouk):
@@ -226,6 +252,51 @@ def test_krawtchouk_filling_is_identity(krawtchouk):
     _, cont = krawtchouk
     for eps in np.linspace(0.05, 0.95, 7):
         assert filling_fraction(cont, float(eps)) == pytest.approx(float(eps), abs=1e-9)
+
+
+def _filling_by_regions(cont, eps):
+    # The per-region sum filling_fraction used before it shared the
+    # occupancy integral with phase; kept as the bitwise reference.
+    total = 0.0
+    for r in wkb.classified_regions(cont, eps):
+        if r.kind == SATURATED:
+            total += math.pi * (r.upper - r.lower)
+        elif r.kind == PARTIAL:
+            def f(t):
+                return float(np.arccos(-np.clip(xi(cont, t, eps), -1.0, 1.0)))
+            total += integrate(IntegrandSpec(f, r.lower, r.upper))
+    return total / (math.pi * cont.length)
+
+
+@pytest.mark.parametrize("chain", ["homogeneous", "krawtchouk", "rainbow", "cosine",
+                                   "asym_cosine"])
+def test_filling_matches_region_sum_bitwise(request, chain):
+    _, cont = request.getfixturevalue(chain)
+    lo, hi = wkb.band_bounds(cont)
+    for frac in (0.1, 0.35, 0.6, 0.85):
+        eps = lo + frac * (hi - lo)
+        assert filling_fraction(cont, eps) == _filling_by_regions(cont, eps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: filling_fraction(c, math.nan),
+    lambda c: phase(c, 100.0, math.nan),
+    lambda c: wells(c, math.nan),
+    lambda c: density_of_states(c, math.nan),
+    lambda c: density_profile(c, math.nan, [100.0]),
+    lambda c: wkb_correlation_kernel(c, math.nan, 100.0, 110.0),
+], ids=["filling_fraction", "phase", "wells", "density_of_states",
+        "density_profile", "wkb_correlation_kernel"])
+def test_nan_energy_raises(homogeneous, call):
+    _, cont = homogeneous
+    with pytest.raises(ValueError, match="NaN"):
+        call(cont)
+
+
+def test_infinite_energy_is_empty_or_full_chain(homogeneous):
+    _, cont = homogeneous
+    assert filling_fraction(cont, -math.inf) == 0.0
+    assert filling_fraction(cont, math.inf) == 1.0
 
 
 def test_filling_monotone(asym_cosine):
@@ -515,6 +586,12 @@ def test_kernel_multi_well_raises(asym_cosine):
     _, cont = asym_cosine
     with pytest.raises(UnsupportedRegimeError):
         wkb_correlation_kernel(cont, 1.69251, 100.0, 200.0)
+
+
+def test_kernel_symmetric_in_positions():
+    _, cont = make_builtin(Homogeneous(1.0, 0.0), 40)
+    x, y = 17.0, 21.5
+    assert wkb_correlation_kernel(cont, -1.0, x, y) == wkb_correlation_kernel(cont, -1.0, y, x)
 
 
 def test_kernel_diagonal_matches_density():

@@ -38,6 +38,7 @@ from .wkb import (
     DensityProfile,
     Well,
     WellDecomposition,
+    correlation_matrix as wkb_correlation_matrix,
     density_of_states,
     density_profile,
     envelope,

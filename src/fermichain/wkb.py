@@ -6,7 +6,8 @@ define classically allowed intervals ("wells"); their endpoints interior to
 the chain are turning points.  From the wells follow the phase integral,
 per-well normalizations, density of states, level spacing, filling
 fraction, the local fermion density with its depletion/saturation regions,
-approximate wavefunctions and envelopes, and a correlation kernel.
+approximate wavefunctions and envelopes, and the correlation matrix by
+stationary phase.
 
 The filling fraction and the phase are one integral: G(x), the integral
 of arccos(-xi*) from 0 to x, gives nu = G(l) / (pi l) and
@@ -219,23 +220,68 @@ def classified_regions(
     return _scan_regions(c, float(eps), int(scan_resolution))
 
 
+def _inv_velocity(c: ContinuumProfile, eps: float):
+    """Integrand 1 / v = 1 / sqrt(4J^2 - (eps - B)^2) inside the local band,
+    0 outside; it gives both A_i^-2 and the conformal coordinate."""
+    def f(t):
+        g = float(_band_gap(c, t, eps))
+        return 1.0 / math.sqrt(g) if g > 0.0 else 0.0
+    return f
+
+
+# Singularity of a 1/v integral, keyed by whether its lower and upper ends
+# are turning points.
+_SINGULARITY = {
+    (True, True): Singularity.BOTH,
+    (True, False): Singularity.AT_LOWER,
+    (False, True): Singularity.AT_UPPER,
+    (False, False): Singularity.NONE,
+}
+
+
+def _well_span(c: ContinuumProfile, eps: float, well: Well) -> Tuple[float, float, bool, bool]:
+    """(lower, upper, lower is a turning point, upper is a turning point) of
+    the 1/v integrals over a well.
+
+    A chain end where the band gap is negative hides a turning point in a
+    sliver narrower than TANGENCY_FRACTION * l that the scan merged away
+    (Krawtchouk near eps = q or 1 - q, where J vanishes at the ends); the
+    integrals then start at that root, found inside the well.  A zero band
+    gap makes the chain end itself the turning point.
+    """
+    lo, hi = well.lower, well.upper
+    lo_tp, hi_tp = well.lower_kind == TURNING_POINT, well.upper_kind == TURNING_POINT
+
+    def gap(t):
+        return float(_band_gap(c, t, eps))
+
+    mid = 0.5 * (lo + hi)
+    tol = Tolerance(abs_tol=1e-12 * c.length, rel_tol=4e-16, max_iter=100)
+    if not lo_tp and gap(lo) <= 0.0:
+        lo, lo_tp = find_root(gap, lo, mid, tol), True
+    if not hi_tp and gap(hi) <= 0.0:
+        hi, hi_tp = find_root(gap, mid, hi, tol), True
+    return lo, hi, lo_tp, hi_tp
+
+
 def _well_inv_norm(c: ContinuumProfile, eps: float, well: Well) -> float:
     """A_i^-2 = integral over the well of dx / (2 J sqrt(1 - xi^2)).
 
     The integrand equals 1 / sqrt(4J^2 - (eps - B)^2), with inverse
     square-root singularities at turning-point boundaries only.
     """
-    def f(t):
-        g = float(_band_gap(c, t, eps))
-        return 1.0 / math.sqrt(g) if g > 0.0 else 0.0
+    lo, hi, lo_tp, hi_tp = _well_span(c, eps, well)
+    return integrate(IntegrandSpec(_inv_velocity(c, eps), lo, hi, _SINGULARITY[lo_tp, hi_tp]))
 
-    sing = {
-        (TURNING_POINT, TURNING_POINT): Singularity.BOTH,
-        (TURNING_POINT, CHAIN_END): Singularity.AT_LOWER,
-        (CHAIN_END, TURNING_POINT): Singularity.AT_UPPER,
-        (CHAIN_END, CHAIN_END): Singularity.NONE,
-    }[(well.lower_kind, well.upper_kind)]
-    return integrate(IntegrandSpec(f, well.lower, well.upper, sing))
+
+def _wells_of(regions: Sequence[Region], ell: float) -> Tuple[Well, ...]:
+    """The partial regions as wells, with chain ends told from turning points."""
+    return tuple(
+        Well(r.lower, r.upper,
+             CHAIN_END if r.lower <= 0.0 else TURNING_POINT,
+             CHAIN_END if r.upper >= ell else TURNING_POINT)
+        for r in regions if r.kind == PARTIAL
+    )
 
 
 def wells(
@@ -246,16 +292,9 @@ def wells(
     An energy outside the spectrum yields an empty decomposition rather
     than an error.
     """
-    regions = classified_regions(c, eps, scan_resolution)
-    ws = []
-    for r in regions:
-        if r.kind != PARTIAL:
-            continue
-        lk = CHAIN_END if r.lower <= 0.0 else TURNING_POINT
-        uk = CHAIN_END if r.upper >= c.length else TURNING_POINT
-        ws.append(Well(r.lower, r.upper, lk, uk))
+    ws = _wells_of(classified_regions(c, eps, scan_resolution), c.length)
     inv = np.array([_well_inv_norm(c, eps, w) for w in ws])
-    return WellDecomposition(float(eps), tuple(ws), inv)
+    return WellDecomposition(float(eps), ws, inv)
 
 
 def _filled_integral(c: ContinuumProfile, xs: np.ndarray, eps: float) -> np.ndarray:
@@ -467,48 +506,127 @@ def well_frequencies(wd: WellDecomposition) -> np.ndarray:
     return wd.inv_norms / wd.inv_norms.sum()
 
 
+def _conformal_coordinate(
+    c: ContinuumProfile, eps: float, xs: np.ndarray, span: Tuple[float, float, bool, bool]
+) -> Tuple[np.ndarray, float]:
+    """x~ = integral of dx / (a v) from the lower end of the span to each
+    sorted position inside it, and its value at the upper end; one
+    quadrature per piece between consecutive positions."""
+    lo, hi, lo_tp, hi_tp = span
+    f = _inv_velocity(c, eps)
+    out = np.empty(xs.size)
+    total, prev, singular = 0.0, lo, lo_tp
+    for i, x in enumerate(xs):
+        if x > prev:
+            total += integrate(IntegrandSpec(f, prev, x, _SINGULARITY[singular, False]))
+            prev, singular = x, False
+        out[i] = total
+    total += integrate(IntegrandSpec(f, prev, hi, _SINGULARITY[singular, hi_tp]))
+    a = c.lattice_spacing
+    return out / a, total / a
+
+
+def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarray:
+    """WKB correlation matrix C(x_i, x_j) of the chain filled up to eps_F.
+
+    This is the energy integral C(x, y) = (1/pi) * int^eps_F f(x, e) f(y, e) de
+    of the WKB wavefunctions f evaluated by stationary phase: the
+    integrand oscillates with d phi / d e = -x~, so only the boundary term
+    at eps_F survives.  That is the inhomogeneous sine kernel with one
+    image per well end (Dubail, Stephan, Viti and Calabrese, SciPost
+    Phys. 2, 002, 2017):
+
+        C(x, y) = [ -sin(phi_x - phi_y) / (x~ - y~)
+                    + sin(phi_x + phi_y + 2 mu_L) / (x~ + y~)
+                    + sin(pb_x + pb_y + 2 mu_R) / (2 L~ - (x~ + y~)) ]
+                  / (pi sqrt(v_x v_y))
+
+    with phi the :func:`phase` at eps_F, pb the same phase measured from
+    the right end, v = sqrt(4J^2 - (eps_F - B)^2) the local Fermi velocity,
+    x~ the conformal coordinate, the integral of dx / (a v) from the lower
+    end of the well, and L~ its value at the upper end.  The Maslov phase
+    mu is 0 at a hard chain end, -pi/4 at a turning point next to a
+    depleted stretch and +pi/4 next to a saturated one.  A hard right end
+    sits at the phantom site l + a, where the mode positions x = (n + 1) a
+    have their Dirichlet zero, with the profile held at its value at l.
+    The diagonal is 1 - q(x)/pi plus the two image terms, with
+    q = arccos(xi*).  The matrix is exactly symmetric.
+
+    Positions on a depleted stretch give a zero row and column, positions
+    on a saturated stretch give delta_xy; so eps_F at or below the band
+    gives 0 and at or above it the identity.  x = 0 at a hard left end is
+    the Dirichlet zero itself and gives a zero row and column.
+
+    Valid for a single well at eps_F; more than one raises
+    UnsupportedRegimeError.  Within about 20 sites of a turning point (the
+    Airy zone) errors reach 0.09-0.25.
+    """
+    x = np.asarray(positions, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("positions must be a 1-d array")
+    ell = c.length
+    if x.size and not (x.min() >= 0.0 and x.max() <= ell * (1 + 1e-12)):
+        raise ValueError(f"positions outside [0, {ell}]")
+    x = np.minimum(x, ell)
+    ws = _wells_of(classified_regions(c, eps_F), ell)
+    if len(ws) > 1:
+        raise UnsupportedRegimeError(
+            f"{len(ws)} wells at eps_F={eps_F}: kernel valid for a single well only"
+        )
+    g = _band_gap(c, x, eps_F)
+    saturated = (g <= 0.0) & (eps_F > c.B(x))
+    out = np.where((x[:, None] == x[None, :]) & saturated[:, None], 1.0, 0.0)
+    if not ws:
+        return out
+    span = lo, hi, lo_tp, hi_tp = _well_span(c, eps_F, ws[0])
+    inside = (g > 0.0) & (x > lo) & (x <= hi)
+    pos, idx = np.unique(x[inside], return_inverse=True)
+    if not pos.size:
+        return out
+
+    phi = phase(c, np.append(pos, ell), eps_F)
+    phi, phi_bar = phi[:-1], phi[-1] - phi[:-1]
+    s, L = _conformal_coordinate(c, eps_F, pos, span)
+    v = np.sqrt(_band_gap(c, pos, eps_F))
+    q = np.arccos(xi_star(c, pos, eps_F))
+
+    def maslov(end, turning):
+        if not turning:
+            return 0.0
+        return -math.pi / 4 if eps_F < float(c.B(np.array(end))) else math.pi / 4
+
+    mu_L, mu_R = maslov(lo, lo_tp), maslov(hi, hi_tp)
+    if not hi_tp:
+        # One more lattice spacing to the phantom site l + a.
+        phi_bar = phi_bar + float(np.arccos(xi_star(c, ell, eps_F)))
+        L += 1.0 / math.sqrt(float(_band_gap(c, ell, eps_F)))
+
+    # |phi_x - phi_y| / |x~ - y~|: symmetric bit for bit, since both grow with x.
+    ds = np.abs(np.subtract.outer(s, s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bulk = -np.sin(np.abs(np.subtract.outer(phi, phi))) / ds
+    np.fill_diagonal(bulk, (math.pi - q) * v)
+    S = np.add.outer(s, s)
+    T = (bulk
+         + np.sin(np.add.outer(phi, phi) + 2 * mu_L) / S
+         + np.sin(np.add.outer(phi_bar, phi_bar) + 2 * mu_R) / (2 * L - S))
+    block = T / (math.pi * np.sqrt(np.multiply.outer(v, v)))
+    out[np.ix_(inside, inside)] = block[np.ix_(idx, idx)]
+    return out
+
+
 def wkb_correlation_kernel(
     c: ContinuumProfile,
     eps_F: float,
     x: float,
     y: float,
 ) -> float:
-    """Correlation kernel C(x, y) = (1/pi) * int f(x, eps) f(y, eps) d eps.
+    """Correlation kernel C(x, y), one entry of :func:`correlation_matrix`.
 
-    f is the phase-bearing allowed-region integrand; the normalization
-    cancels against the density of states.  Valid only when every energy
-    up to eps_F has a single well; a multi-well energy raises.  The energy
-    integral oscillates on the scale of the level spacing and is done by
-    trapezoid on a uniform grid resolving ~20 points per local period.
+    It is the stationary-phase evaluation of the energy integral
+    (1/pi) * int^eps_F f(x, e) f(y, e) de of WKB wavefunctions: the
+    boundary term at eps_F, with no energy grid.  Valid for a single well
+    at eps_F; more than one raises UnsupportedRegimeError.  Within about
+    20 sites of a turning point (the Airy zone) errors reach 0.09-0.25.
     """
-    pts = np.unique([float(x), float(y)])  # NaN sorts last
-    if not (pts[0] >= 0.0 and pts[-1] <= c.length * (1 + 1e-12)):
-        raise ValueError(f"x={x}, y={y} outside [0, {c.length}]")
-    lo, hi = band_bounds(c)
-    if eps_F <= lo:
-        return 0.0
-    top = min(eps_F, hi)
-    probe = np.linspace(lo + 1e-9 * (top - lo), top, 33)
-    for e in probe:
-        count = sum(1 for r in classified_regions(c, float(e)) if r.kind == PARTIAL)
-        if count > 1:
-            raise UnsupportedRegimeError(
-                f"multi-well energy {e}: kernel valid in the single-well regime only"
-            )
-    # |d phase / d eps| <= pi D(eps); sample the bound on a coarse grid.
-    ds = [density_of_states(c, float(e)) for e in probe[2::6]]
-    periods = (top - lo) * max(ds) * c.lattice_spacing / 2.0
-    energy_points = int(min(max(800, 20 * periods), 60000))
-    # Cosine-clustered energy grid: interior sampling stays ~uniform (the
-    # 20-per-period budget), while the quadratic clustering at both ends
-    # regularizes the integrable (1 - xi^2)^(-1/2) band-edge divergence.
-    t = np.linspace(0.0, 1.0, energy_points)
-    es = lo + (top - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
-    weight = (top - lo) * 0.5 * np.pi * np.sin(np.pi * t)
-    f = np.zeros((energy_points, pts.size))
-    for k, e in enumerate(es):
-        amp = _amplitude(c, pts, e)
-        if amp.all():  # f(x) f(y) vanishes unless both points are allowed
-            f[k] = amp * np.sin(phase(c, pts, e))
-    fx, fy = (f[:, np.searchsorted(pts, p)] for p in (x, y))
-    return float(np.trapezoid(fx * fy * weight, t) / math.pi)
+    return float(correlation_matrix(c, eps_F, [x, y])[0, 1])

@@ -156,6 +156,26 @@ def test_well_norm_sum_rule(asym_cosine):
     assert wd.total_inv_norm == pytest.approx(float(wd.inv_norms.sum()), abs=1e-15)
 
 
+@pytest.mark.parametrize("N", [400, 4000])
+@pytest.mark.parametrize("eps", [0.24948631457593637, 0.2503136498474675, 0.2503011026351416,
+                                 0.25, 0.7498483723109807, 0.7503, 0.75005, 0.75])
+def test_krawtchouk_norm_at_chain_end_sliver(N, eps):
+    # Within ~1e-3 of eps = q or 1 - q a turning point sits closer than
+    # TANGENCY_FRACTION * l to the chain end where J = 0; the scan merges it
+    # away, so the well ends at the chain end with a negative band gap there
+    # (zero at q and 1 - q exactly).  The first three energies come from
+    # failed wkb-sweep ops; they and 0.7503 raised ConvergenceError before.
+    # Krawtchouk's density of states is exactly N, so A^-2 = pi l.
+    _, cont = make_builtin(Krawtchouk(q=0.25), N)
+    wd = wells(cont, eps)
+    assert len(wd.wells) == 1
+    w = wd.wells[0]
+    end = w.lower if eps < 0.5 else w.upper
+    assert end in (0.0, cont.length)
+    assert wkb._band_gap(cont, end, eps) <= 0.0
+    assert wd.total_inv_norm == pytest.approx(math.pi * cont.length, rel=1e-9)
+
+
 # --- phase ---------------------------------------------------------------------
 
 def test_phase_zero_at_origin(homogeneous):
@@ -617,6 +637,155 @@ def test_kernel_against_exact_correlations():
     for n, m in ((59, 61), (59, 63), (59, 66)):
         got = wkb_correlation_kernel(cont, st.fermi_energy, (n + 1) * a, (m + 1) * a)
         assert abs(got - C[n, m]) < 0.02
+
+
+KERNEL_FAMILIES = {"homogeneous": Homogeneous(1.0, 0.0), "krawtchouk": Krawtchouk(q=0.25),
+                   "rainbow": Rainbow(h=1.0), "cosine": Cosine(J0=0.5)}
+
+
+@pytest.fixture(scope="module")
+def kernel_spectra():
+    out = {}
+    for name, fam in KERNEL_FAMILIES.items():
+        lat, cont = make_builtin(fam, 400)
+        out[name] = lat, cont, exact.diagonalize(lat)
+    return out
+
+
+def _exact_c(s, M):
+    return exact.correlation_matrix(s, exact.filled_state(s, M)).entries
+
+
+@pytest.mark.parametrize("family, M_range", [("homogeneous", (118, 122)),
+                                             ("krawtchouk", (48, 52)),
+                                             ("rainbow", (48, 52))])
+def test_kernel_covers_benchmark_inputs(kernel_spectra, family, M_range):
+    # Every input of the benchmark's kernel workload: M in its range, sites
+    # n = 150..158, m in {n, n+2, ..., n+8}, eps_F = E_{M-1}, positions
+    # (n + 1) a; 360 entries per family, 1080 in all.  The kernel is one
+    # entry of correlation_matrix, taken here on the 17 positions at once.
+    lat, cont, s = kernel_spectra[family]
+    sites = np.arange(150, 167)
+    for M in range(M_range[0], M_range[1] + 1):
+        C = _exact_c(s, M)[np.ix_(sites, sites)]
+        K = wkb.correlation_matrix(cont, float(s.energies[M - 1]), lat.mode_positions[sites])
+        for i in range(9):
+            for j in [i] + list(range(i + 2, i + 9)):
+                assert abs(K[i, j] - C[i, j]) < 0.02, (family, M, sites[i], sites[j])
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "krawtchouk", "rainbow"])
+def test_kernel_is_entry_of_correlation_matrix(kernel_spectra, family):
+    # Different positions split the quadratures differently, so entries
+    # agree to the quadrature target, not bitwise.
+    lat, cont, s = kernel_spectra[family]
+    eF = float(s.energies[119 if family == "homogeneous" else 49])
+    x = lat.mode_positions[[150, 153, 158, 166]]
+    K = wkb.correlation_matrix(cont, eF, x)
+    for i, j in ((0, 0), (0, 1), (1, 2), (2, 3), (0, 3)):
+        assert wkb_correlation_kernel(cont, eF, x[i], x[j]) == pytest.approx(K[i, j], abs=1e-9)
+
+
+# Max |error| over the bulk, measured at N = 400: homogeneous 2.64e-3,
+# cosine 2.57e-3, Krawtchouk 9.95e-3, rainbow 4.93e-3.  Most of it is the
+# Fermi level itself: at eps_F = E_{M-1} the exact C holds that mode with
+# full weight and the stationary-phase boundary term with half, a floor of
+# |psi_F(x) psi_F(y)| / 2 (2.5e-3 homogeneous, 3.5e-3 rainbow here).
+BULK_TOL = {"homogeneous": 2.9e-3, "cosine": 2.9e-3, "krawtchouk": 1.0e-2, "rainbow": 5.5e-3}
+
+
+@pytest.mark.parametrize("family, M", [("homogeneous", 120), ("homogeneous", 200),
+                                       ("cosine", 200),
+                                       ("krawtchouk", 50), ("krawtchouk", 200),
+                                       ("krawtchouk", 350),
+                                       ("rainbow", 50), ("rainbow", 200), ("rainbow", 350)])
+def test_correlation_matrix_in_the_bulk(kernel_spectra, family, M):
+    # Whole matrix on every mode position at least 30 sites from the well
+    # ends.  Krawtchouk M = 50 and rainbow M = 50 have depleted ends,
+    # Krawtchouk M = 350 and rainbow M = 350 saturated ones, Krawtchouk
+    # M = 200 one of each; the rest reach both hard chain ends.
+    lat, cont, s = kernel_spectra[family]
+    eF = float(s.energies[M - 1])
+    (w,) = wells(cont, eF).wells
+    x = lat.mode_positions
+    bulk = np.flatnonzero((x >= w.lower + 30) & (x <= w.upper - 30))
+    assert bulk.size > 150
+    K = wkb.correlation_matrix(cont, eF, x[bulk])
+    C = _exact_c(s, M)[np.ix_(bulk, bulk)]
+    assert np.abs(K - C).max() < BULK_TOL[family]
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "krawtchouk", "rainbow", "cosine"])
+def test_correlation_matrix_outside_the_band(kernel_spectra, family):
+    lat, cont, _ = kernel_spectra[family]
+    x = lat.mode_positions[[0, 57, 57, 200, 399]]
+    lo, hi = wkb.band_bounds(cont)
+    delta = (x[:, None] == x[None, :]).astype(float)
+    for eps in (lo, lo - 1.0, -math.inf):
+        assert np.array_equal(wkb.correlation_matrix(cont, eps, x), np.zeros((5, 5)))
+    for eps in (hi, hi + 1.0, math.inf):
+        assert np.array_equal(wkb.correlation_matrix(cont, eps, x), delta)
+
+
+@pytest.mark.parametrize("family, M, kind", [("krawtchouk", 50, DEPLETED),
+                                             ("krawtchouk", 350, SATURATED),
+                                             ("rainbow", 50, DEPLETED),
+                                             ("rainbow", 350, SATURATED)])
+def test_correlation_matrix_off_the_well(kernel_spectra, family, M, kind):
+    # Depleted positions: zero rows and columns.  Saturated: delta_xy.
+    lat, cont, s = kernel_spectra[family]
+    eF = float(s.energies[M - 1])
+    outside = [r for r in wkb.classified_regions(cont, eF) if r.kind == kind]
+    assert outside
+    x = lat.mode_positions
+    off = np.concatenate([x[(x > r.lower) & (x < r.upper)][:3] for r in outside])
+    pos = np.concatenate([off, off[:1], x[[199, 200]]])
+    K = wkb.correlation_matrix(cont, eF, pos)
+    n = off.size + 1
+    same = (pos[:n, None] == pos[None, :n]).astype(float)
+    assert np.array_equal(K[:n, :n], same if kind == SATURATED else 0.0 * same)
+    assert np.all(K[:n, n:] == 0.0) and np.all(K[n:, :n] == 0.0)
+    assert np.all(K[n:, n:] != 0.0)
+
+
+def test_correlation_matrix_zero_at_hard_wall_dirichlet_point(homogeneous):
+    _, cont = homogeneous
+    K = wkb.correlation_matrix(cont, -0.5, [0.0, 1.0, 2.0, 0.0])
+    assert np.all(K[[0, 3]] == 0.0) and np.all(K[:, [0, 3]] == 0.0)
+    assert np.all(np.isfinite(K)) and K[1, 1] > 0.0
+
+
+@pytest.mark.parametrize("family", ["krawtchouk", "rainbow", "cosine"])
+def test_correlation_matrix_exactly_symmetric(kernel_spectra, family):
+    lat, cont, s = kernel_spectra[family]
+    eF = float(s.energies[199])
+    x = lat.mode_positions[::7]
+    K = wkb.correlation_matrix(cont, eF, x)
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K[::-1, ::-1], wkb.correlation_matrix(cont, eF, x[::-1]))
+    for xa, ya in ((x[20], x[23]), (x[5], x[40])):
+        assert wkb_correlation_kernel(cont, eF, xa, ya) == wkb_correlation_kernel(cont, eF, ya, xa)
+
+
+def test_kernel_at_band_edge_of_chain_end(rainbow):
+    # eps_F = B - 2J at both ends: the band gap vanishes there, so the ends
+    # are turning points; a hard-wall reading would divide by v(l) = 0.
+    _, cont = rainbow
+    eps = float(-2.0 * cont.J(cont.length))
+    assert wkb._band_gap(cont, cont.length, eps) == 0.0
+    K = wkb.correlation_matrix(cont, eps, [150.0, 200.0, 203.0, 400.0])
+    assert np.all(np.isfinite(K)) and np.all(K[3] == 0.0)
+
+
+def test_kernel_single_well_at_fermi_energy_suffices(cosine):
+    # The rule is one well at eps_F.  Below eps = -1 the cosine chain has
+    # two wells, at half filling one.
+    _, cont = cosine
+    assert len(wells(cont, -1.2).wells) == 2
+    with pytest.raises(UnsupportedRegimeError):
+        wkb.correlation_matrix(cont, -1.2, [100.0, 300.0])
+    assert len(wells(cont, 0.0).wells) == 1
+    assert math.isfinite(wkb_correlation_kernel(cont, 0.0, 100.0, 103.0))
 
 
 # --- Krawtchouk reflection symmetries of the WKB density --------------------------

@@ -36,7 +36,9 @@ from .numerics import (
 )
 from .profiles import ContinuumProfile, band_bounds
 
-DEFAULT_SCAN_RESOLUTION = 4096
+# Intervals of the uniform grid on which the region scan looks for sign
+# changes of the band gap.
+_SCAN_RESOLUTION = 4096
 # Wells narrower than this fraction of the chain length are tangency
 # artifacts (band edges, ellipse tangent points) and are discarded.
 TANGENCY_FRACTION = 1e-6
@@ -135,72 +137,61 @@ def _band_gap(c: ContinuumProfile, x, eps: float):
     return 4.0 * J * J - (eps - c.B(xa)) ** 2
 
 
+def _turning_point(c: ContinuumProfile, eps: float, lo: float, hi: float) -> float:
+    """Zero of the band gap inside [lo, hi], to 1e-12 l."""
+    return find_root(
+        lambda t: float(_band_gap(c, t, eps)),
+        lo,
+        hi,
+        Tolerance(abs_tol=1e-12 * c.length, rel_tol=4e-16, max_iter=100),
+    )
+
+
 @lru_cache(maxsize=512)
-def _scan_regions(
-    c: ContinuumProfile, eps: float, resolution: int
-) -> Tuple[Region, ...]:
+def _scan_regions(c: ContinuumProfile, eps: float) -> Tuple[Region, ...]:
     """Partition [0, l] into depleted / partial / saturated intervals.
 
     Sign changes of 4J^2 - (eps-B)^2 on a uniform scan grid are refined by
     bracketed root finding; intervals narrower than TANGENCY_FRACTION * l
-    are merged away.
+    are merged away, so the result alternates between partial and
+    non-partial intervals.
     """
     ell = c.length
-    xs = np.linspace(0.0, ell, resolution + 1)
+    xs = np.linspace(0.0, ell, _SCAN_RESOLUTION + 1)
     w = _band_gap(c, xs, eps)
     inside = w > 0.0
 
     boundaries = [0.0]
-    flips = np.flatnonzero(inside[:-1] != inside[1:])
-    for i in flips:
+    for i in np.flatnonzero(inside[:-1] != inside[1:]):
         lo, hi = xs[i], xs[i + 1]
         if w[i] == 0.0:
             boundaries.append(float(lo))
-            continue
-        if w[i + 1] == 0.0:
+        elif w[i + 1] == 0.0:
             boundaries.append(float(hi))
-            continue
-        root = find_root(
-            lambda t: float(_band_gap(c, t, eps)),
-            lo,
-            hi,
-            Tolerance(abs_tol=1e-12 * ell, rel_tol=4e-16, max_iter=100),
-        )
-        boundaries.append(root)
+        else:
+            boundaries.append(_turning_point(c, eps, lo, hi))
     boundaries.append(ell)
 
-    intervals = []
-    for j in range(len(boundaries) - 1):
-        lo, hi = boundaries[j], boundaries[j + 1]
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        intervals.append([lo, hi, bool(_band_gap(c, mid, eps) > 0.0)])
-
-    # Merge sub-tangency slivers into their wider neighbor.
+    # A sub-tangency sliver joins the interval before it, as does a
+    # neighbor of equal membership; every appended interval is wide and
+    # differs from its predecessor.
     min_width = TANGENCY_FRACTION * ell
     merged = []
-    for seg in intervals:
-        if merged and (seg[1] - seg[0] < min_width or merged[-1][2] == seg[2]):
-            if seg[1] - seg[0] >= min_width and merged[-1][1] - merged[-1][0] < min_width:
-                merged[-1][2] = seg[2]
-            merged[-1][1] = seg[1]
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        if hi <= lo:
+            continue
+        is_inside = bool(_band_gap(c, 0.5 * (lo + hi), eps) > 0.0)
+        if merged and (hi - lo < min_width or merged[-1][2] == is_inside):
+            merged[-1][1] = hi
         else:
-            merged.append(seg)
-    # A leading sliver may still sit at index 0.
+            merged.append([lo, hi, is_inside])
+    # Only the first interval can still be a sliver.
     if len(merged) > 1 and merged[0][1] - merged[0][0] < min_width:
         merged[1][0] = merged[0][0]
         merged = merged[1:]
-    # Re-merge neighbors that ended up with equal membership.
-    final = []
-    for seg in merged:
-        if final and final[-1][2] == seg[2]:
-            final[-1][1] = seg[1]
-        else:
-            final.append(seg)
 
     regions = []
-    for lo, hi, is_inside in final:
+    for lo, hi, is_inside in merged:
         if is_inside:
             kind = PARTIAL
         else:
@@ -210,27 +201,16 @@ def _scan_regions(
     return tuple(regions)
 
 
-def classified_regions(
-    c: ContinuumProfile, eps: float, scan_resolution: int = DEFAULT_SCAN_RESOLUTION
-) -> Tuple[Region, ...]:
+def classified_regions(c: ContinuumProfile, eps: float) -> Tuple[Region, ...]:
     """Depleted / partial / saturated intervals at energy ``eps``; a NaN
     energy raises, -inf and +inf mean an empty and a full chain."""
     if math.isnan(eps):
         raise ValueError("energy is NaN")
-    return _scan_regions(c, float(eps), int(scan_resolution))
+    return _scan_regions(c, float(eps))
 
 
-def _inv_velocity(c: ContinuumProfile, eps: float):
-    """Integrand 1 / v = 1 / sqrt(4J^2 - (eps - B)^2) inside the local band,
-    0 outside; it gives both A_i^-2 and the conformal coordinate."""
-    def f(t):
-        g = float(_band_gap(c, t, eps))
-        return 1.0 / math.sqrt(g) if g > 0.0 else 0.0
-    return f
-
-
-# Singularity of a 1/v integral, keyed by whether its lower and upper ends
-# are turning points.
+# Singularity of an integrand on a stretch, keyed by whether its lower and
+# upper ends are inverse square-root singular.
 _SINGULARITY = {
     (True, True): Singularity.BOTH,
     (True, False): Singularity.AT_LOWER,
@@ -239,29 +219,62 @@ _SINGULARITY = {
 }
 
 
-def _well_span(c: ContinuumProfile, eps: float, well: Well) -> Tuple[float, float, bool, bool]:
-    """(lower, upper, lower is a turning point, upper is a turning point) of
-    the 1/v integrals over a well.
+def _cumulative(pieces, xs: np.ndarray) -> np.ndarray:
+    """Integral from the first piece's lower end to each sorted position.
 
-    A chain end where the band gap is negative hides a turning point in a
-    sliver narrower than TANGENCY_FRACTION * l that the scan merged away
-    (Krawtchouk near eps = q or 1 - q, where J vanishes at the ends); the
-    integrals then start at that root, found inside the well.  A zero band
-    gap makes the chain end itself the turning point.
+    A piece is (lower, upper, rule, lower_singular, upper_singular), and
+    the pieces tile an interval in order.  The rule is either an integrand,
+    with an inverse square-root singularity at each end flagged singular,
+    or a constant rate per unit length.  Each stretch between consecutive
+    positions or piece ends is one quadrature; nothing past the last
+    position is evaluated.
+    """
+    out = np.empty(xs.size)
+    total, i = 0.0, 0
+    for lo, hi, rule, lo_singular, hi_singular in pieces:
+        prev = lo
+        while i < xs.size:
+            x = min(xs[i], hi)
+            if x > prev:
+                if callable(rule):
+                    singular = _SINGULARITY[bool(lo_singular and prev == lo),
+                                            bool(hi_singular and x == hi)]
+                    total += integrate(IntegrandSpec(rule, prev, x, singular))
+                else:
+                    total += rule * (x - prev)
+                prev = x
+            if xs[i] > hi:
+                break
+            out[i] = total
+            i += 1
+    return out
+
+
+def _well_piece(c: ContinuumProfile, eps: float, well: Well):
+    """The 1/v integrand over a well as a piece of :func:`_cumulative`:
+    (lower, upper, 1/v, lower is a turning point, upper is a turning point).
+
+    1/v = 1 / sqrt(4J^2 - (eps - B)^2) inside the local band and 0 outside;
+    it gives both A_i^-2 and the conformal coordinate.  A chain end where
+    the band gap is negative hides a turning point in a sliver narrower
+    than TANGENCY_FRACTION * l that the scan merged away (Krawtchouk near
+    eps = q or 1 - q, where J vanishes at the ends); the piece then starts
+    at that root, found inside the well.  A zero band gap makes the chain
+    end itself the turning point.
     """
     lo, hi = well.lower, well.upper
     lo_tp, hi_tp = well.lower_kind == TURNING_POINT, well.upper_kind == TURNING_POINT
 
-    def gap(t):
-        return float(_band_gap(c, t, eps))
+    def inv_velocity(t):
+        g = float(_band_gap(c, t, eps))
+        return 1.0 / math.sqrt(g) if g > 0.0 else 0.0
 
     mid = 0.5 * (lo + hi)
-    tol = Tolerance(abs_tol=1e-12 * c.length, rel_tol=4e-16, max_iter=100)
-    if not lo_tp and gap(lo) <= 0.0:
-        lo, lo_tp = find_root(gap, lo, mid, tol), True
-    if not hi_tp and gap(hi) <= 0.0:
-        hi, hi_tp = find_root(gap, mid, hi, tol), True
-    return lo, hi, lo_tp, hi_tp
+    if not lo_tp and float(_band_gap(c, lo, eps)) <= 0.0:
+        lo, lo_tp = _turning_point(c, eps, lo, mid), True
+    if not hi_tp and float(_band_gap(c, hi, eps)) <= 0.0:
+        hi, hi_tp = _turning_point(c, eps, mid, hi), True
+    return lo, hi, inv_velocity, lo_tp, hi_tp
 
 
 def _well_inv_norm(c: ContinuumProfile, eps: float, well: Well) -> float:
@@ -270,8 +283,8 @@ def _well_inv_norm(c: ContinuumProfile, eps: float, well: Well) -> float:
     The integrand equals 1 / sqrt(4J^2 - (eps - B)^2), with inverse
     square-root singularities at turning-point boundaries only.
     """
-    lo, hi, lo_tp, hi_tp = _well_span(c, eps, well)
-    return integrate(IntegrandSpec(_inv_velocity(c, eps), lo, hi, _SINGULARITY[lo_tp, hi_tp]))
+    piece = _well_piece(c, eps, well)
+    return float(_cumulative([piece], np.array([piece[1]]))[0])
 
 
 def _wells_of(regions: Sequence[Region], ell: float) -> Tuple[Well, ...]:
@@ -284,45 +297,27 @@ def _wells_of(regions: Sequence[Region], ell: float) -> Tuple[Well, ...]:
     )
 
 
-def wells(
-    c: ContinuumProfile, eps: float, scan_resolution: int = DEFAULT_SCAN_RESOLUTION
-) -> WellDecomposition:
+def wells(c: ContinuumProfile, eps: float) -> WellDecomposition:
     """Well decomposition at energy ``eps`` with per-well normalizations.
 
     An energy outside the spectrum yields an empty decomposition rather
     than an error.
     """
-    ws = _wells_of(classified_regions(c, eps, scan_resolution), c.length)
+    ws = _wells_of(classified_regions(c, eps), c.length)
     inv = np.array([_well_inv_norm(c, eps, w) for w in ws])
     return WellDecomposition(float(eps), ws, inv)
 
 
 def _filled_integral(c: ContinuumProfile, xs: np.ndarray, eps: float) -> np.ndarray:
     """G(x) = integral of arccos(-xi*) from 0 to each sorted position x:
-    pi per unit length on saturated stretches, nothing on depleted ones, one
-    quadrature per partial stretch between positions or region boundaries."""
+    pi per unit length on saturated stretches, nothing on depleted ones."""
     def f(t):
         return float(np.arccos(-np.clip(xi(c, t, eps), -1.0, 1.0)))
 
-    def piece(r: Region, lo: float, hi: float) -> float:
-        if r.kind == PARTIAL:
-            return integrate(IntegrandSpec(f, lo, hi))
-        return math.pi * (hi - lo) if r.kind == SATURATED else 0.0
-
-    out = np.empty(xs.size)
-    total, i = 0.0, 0
-    for r in classified_regions(c, eps):
-        prev = r.lower
-        while i < xs.size and xs[i] <= r.upper:
-            if xs[i] > prev:
-                total += piece(r, prev, xs[i])
-                prev = xs[i]
-            out[i] = total
-            i += 1
-        if i == xs.size:
-            break
-        total += piece(r, prev, r.upper)
-    return out
+    rule = {PARTIAL: f, SATURATED: math.pi, DEPLETED: 0.0}
+    pieces = [(r.lower, r.upper, rule[r.kind], False, False)
+              for r in classified_regions(c, eps)]
+    return _cumulative(pieces, xs)
 
 
 def phase(c: ContinuumProfile, x, eps: float):
@@ -363,11 +358,7 @@ def filling_fraction(c: ContinuumProfile, eps_F: float) -> float:
     return float(_filled_integral(c, np.array([ell]), eps_F)[0]) / (math.pi * ell)
 
 
-def invert_filling(
-    c: ContinuumProfile,
-    nu: float,
-    tol: Tolerance = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=100),
-) -> float:
+def invert_filling(c: ContinuumProfile, nu: float) -> float:
     """Fermi energy with filling_fraction(eps) = nu.
 
     nu is nondecreasing in the energy, so the leftmost solution is well
@@ -384,9 +375,9 @@ def invert_filling(
         raise BracketError("filling fraction never reaches nu on the band bracket")
     # Bisection on the predicate nu(eps) >= nu converges to the leftmost
     # energy achieving the filling, which is the plateau infimum.
-    for _ in range(tol.max_iter):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= max(tol.abs_tol, tol.rel_tol * abs(mid)):
+        if hi - lo <= max(1e-10, 1e-10 * abs(mid)):
             break
         if filling_fraction(c, mid) >= nu:
             hi = mid
@@ -479,23 +470,20 @@ def envelope(
     """
     if wd.is_empty:
         raise UnsupportedRegimeError("no wells at this energy")
-    x = np.sort(np.asarray(grid, dtype=float))
-    x = x[_keep_mask(wd, x, c.length)]
-    amp = _amplitude(c, x, eps)
-    values = np.zeros(x.size)
     if well == "combined":
-        A = 1.0 / math.sqrt(wd.total_inv_norm)
-        for w in wd.wells:
-            inside = (x >= w.lower) & (x <= w.upper)
-            values[inside] = A * amp[inside]
+        chosen, A = wd.wells, 1.0 / math.sqrt(wd.total_inv_norm)
     else:
         i = int(well)
         if not 0 <= i < len(wd.wells):
             raise UnsupportedRegimeError(f"well index {i} out of range")
-        w = wd.wells[i]
-        A_i = 1.0 / math.sqrt(wd.inv_norms[i])
+        chosen, A = wd.wells[i:i + 1], 1.0 / math.sqrt(wd.inv_norms[i])
+    x = np.sort(np.asarray(grid, dtype=float))
+    x = x[_keep_mask(wd, x, c.length)]
+    amp = _amplitude(c, x, eps)
+    values = np.zeros(x.size)
+    for w in chosen:
         inside = (x >= w.lower) & (x <= w.upper)
-        values[inside] = A_i * amp[inside]
+        values[inside] = A * amp[inside]
     return x, values
 
 
@@ -504,26 +492,6 @@ def well_frequencies(wd: WellDecomposition) -> np.ndarray:
     if wd.is_empty:
         raise UnsupportedRegimeError("empty decomposition has no frequencies")
     return wd.inv_norms / wd.inv_norms.sum()
-
-
-def _conformal_coordinate(
-    c: ContinuumProfile, eps: float, xs: np.ndarray, span: Tuple[float, float, bool, bool]
-) -> Tuple[np.ndarray, float]:
-    """x~ = integral of dx / (a v) from the lower end of the span to each
-    sorted position inside it, and its value at the upper end; one
-    quadrature per piece between consecutive positions."""
-    lo, hi, lo_tp, hi_tp = span
-    f = _inv_velocity(c, eps)
-    out = np.empty(xs.size)
-    total, prev, singular = 0.0, lo, lo_tp
-    for i, x in enumerate(xs):
-        if x > prev:
-            total += integrate(IntegrandSpec(f, prev, x, _SINGULARITY[singular, False]))
-            prev, singular = x, False
-        out[i] = total
-    total += integrate(IntegrandSpec(f, prev, hi, _SINGULARITY[singular, hi_tp]))
-    a = c.lattice_spacing
-    return out / a, total / a
 
 
 def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarray:
@@ -559,7 +527,18 @@ def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarr
 
     Valid for a single well at eps_F; more than one raises
     UnsupportedRegimeError.  Within about 20 sites of a turning point (the
-    Airy zone) errors reach 0.09-0.25.
+    Airy zone) errors reach 0.09-0.25.  An interior near-tangent dip of
+    B - 2J misses with no turning point nearby; at N = 400, 30 or more
+    sites from the well ends, the worst diagonal errors against exact C
+    are 1.3e-2 (cosine J0 = 0.5, M = 120, x = 183), 3.6e-2 and 1.5e-2
+    (asymmetric cosine (0.75, 5, 2), M = 90 at x = 97 and M = 130 at
+    x = 110).  A position close to a turning point can raise
+    ConvergenceError: the turning point is located only to the root
+    finder's tolerance, so the substitution that absorbs the inverse
+    square root there leaves a sharp layer that the quadrature does not
+    resolve (asymmetric cosine M = 110 at x = 254, 0.0049 from the
+    turning point at 254.00488; Krawtchouk N = 4000 at eps_F = 0.9999,
+    x = 3029 and 3034).
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim != 1:
@@ -578,7 +557,7 @@ def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarr
     out = np.where((x[:, None] == x[None, :]) & saturated[:, None], 1.0, 0.0)
     if not ws:
         return out
-    span = lo, hi, lo_tp, hi_tp = _well_span(c, eps_F, ws[0])
+    piece = lo, hi, _, lo_tp, hi_tp = _well_piece(c, eps_F, ws[0])
     inside = (g > 0.0) & (x > lo) & (x <= hi)
     pos, idx = np.unique(x[inside], return_inverse=True)
     if not pos.size:
@@ -586,7 +565,8 @@ def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarr
 
     phi = phase(c, np.append(pos, ell), eps_F)
     phi, phi_bar = phi[:-1], phi[-1] - phi[:-1]
-    s, L = _conformal_coordinate(c, eps_F, pos, span)
+    s = _cumulative([piece], np.append(pos, hi)) / c.lattice_spacing
+    s, L = s[:-1], float(s[-1])
     v = np.sqrt(_band_gap(c, pos, eps_F))
     q = np.arccos(xi_star(c, pos, eps_F))
 
@@ -627,6 +607,9 @@ def wkb_correlation_kernel(
     (1/pi) * int^eps_F f(x, e) f(y, e) de of WKB wavefunctions: the
     boundary term at eps_F, with no energy grid.  Valid for a single well
     at eps_F; more than one raises UnsupportedRegimeError.  Within about
-    20 sites of a turning point (the Airy zone) errors reach 0.09-0.25.
+    20 sites of a turning point (the Airy zone) errors reach 0.09-0.25,
+    interior near-tangent dips of B - 2J miss by up to 3.6e-2, and a
+    position close to a turning point can raise ConvergenceError; see
+    :func:`correlation_matrix`.
     """
     return float(correlation_matrix(c, eps_F, [x, y])[0, 1])

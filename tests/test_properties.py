@@ -1,8 +1,10 @@
 """Property tests for the occupancy integral shared by nu and the phase.
 
 One integral G(x) = int_0^x arccos(-xi*) feeds both the filling fraction,
-nu = G(l) / (pi l), and the phase, phi(x) = (pi x - G(x)) / a.  The
-properties below hold by construction on every builtin chain at N = 400.
+nu = G(l) / (pi l), and the phase, phi(x) = (pi x - G(x)) / a.  It is
+summed over the region partition of the chain, whose invariants close
+this file.  The properties below hold by construction on every builtin
+chain at N = 400.
 """
 
 import math
@@ -94,3 +96,31 @@ def test_filling_is_complement_of_phase_at_chain_end(name, t):
     ell, a = cont.length, cont.lattice_spacing
     nu = wkb.filling_fraction(cont, eps)
     assert abs(nu - (1.0 - a * wkb.phase(cont, ell, eps) / (math.pi * ell))) <= 1e-12
+
+
+def near_special_energies(name):
+    # Band edges, and for Krawtchouk eps = q and 1 - q, where a turning
+    # point reaches the chain end: the scan's slivers sit next to these.
+    _, (lo, hi) = chain(name)
+    anchors = [lo, hi]
+    if name == "krawtchouk":
+        anchors += [BUILTINS[name].q, 1.0 - BUILTINS[name].q]
+    return st.builds(lambda e, sign, power: e + sign * 10.0 ** power * (hi - lo),
+                     st.sampled_from(anchors), st.sampled_from([-1.0, 1.0]),
+                     st.floats(-13.0, -1.0))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@PROPERTY
+@given(data=st.data())
+def test_regions_tile_chain_and_alternate(name, data):
+    cont, _ = chain(name)
+    eps = data.draw(near_special_energies(name))
+    ell = cont.length
+    regions = wkb.classified_regions(cont, eps)
+    assert regions[0].lower == 0.0 and regions[-1].upper == ell
+    for r, s in zip(regions[:-1], regions[1:]):
+        assert r.upper == s.lower
+        assert (r.kind == wkb.PARTIAL) != (s.kind == wkb.PARTIAL)
+    if len(regions) > 1:
+        assert all(r.upper - r.lower >= wkb.TANGENCY_FRACTION * ell for r in regions)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fermichain import analytic, exact, wkb
-from fermichain.numerics import IntegrandSpec, integrate
+from fermichain.numerics import IntegrandSpec, Singularity, integrate
 from fermichain.profiles import (
     AsymmetricCosine,
     Cosine,
@@ -296,6 +296,83 @@ def test_filling_matches_region_sum_bitwise(request, chain):
     for frac in (0.1, 0.35, 0.6, 0.85):
         eps = lo + frac * (hi - lo)
         assert filling_fraction(cont, eps) == _filling_by_regions(cont, eps)
+
+
+# --- the cumulative-integral walker ----------------------------------------------
+
+def test_cumulative_constant_rates():
+    pieces = [(0.0, 1.0, math.pi, False, False), (1.0, 3.0, 0.0, False, False),
+              (3.0, 4.0, 2.0, False, False)]
+    xs = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 4.0])
+    expected = [0.0, math.pi / 2, math.pi, math.pi, math.pi + 1.0, math.pi + 2.0]
+    assert wkb._cumulative(pieces, xs) == pytest.approx(expected, abs=1e-15)
+
+
+def test_cumulative_regular_integrand():
+    pieces = [(0.0, 1.0, math.cos, False, False), (1.0, 2.0, math.cos, False, False)]
+    xs = np.array([0.3, 1.0, 1.7, 2.0])
+    assert wkb._cumulative(pieces, xs) == pytest.approx(np.sin(xs), abs=1e-12)
+
+
+def test_cumulative_inverse_sqrt_ends(monkeypatch):
+    # int_{-1}^x dt / sqrt(1 - t^2) = arcsin x + pi/2, singular at both ends;
+    # the positions hit the piece boundary 0 twice and end at 1.  Only the
+    # stretches touching -1 or 1 declare the singularity.
+    def f(t):
+        return 1.0 / math.sqrt(1.0 - t * t)
+
+    declared = []
+
+    def recording(spec):
+        declared.append(spec.singularity)
+        return integrate(spec)
+
+    monkeypatch.setattr(wkb, "integrate", recording)
+    pieces = [(-1.0, 0.0, f, True, False), (0.0, 1.0, f, False, True)]
+    xs = np.array([-0.9, -0.2, 0.0, 0.0, 0.5, 1.0])
+    out = wkb._cumulative(pieces, xs)
+    assert out == pytest.approx(np.arcsin(xs) + math.pi / 2, abs=1e-9)
+    assert out[2] == out[3]
+    assert declared == [Singularity.AT_LOWER] + 3 * [Singularity.NONE] + [Singularity.AT_UPPER]
+
+    declared.clear()
+    whole = wkb._cumulative([(-1.0, 1.0, f, True, True)], np.array([1.0]))
+    assert whole == pytest.approx([math.pi], abs=1e-9)
+    assert declared == [Singularity.BOTH]
+
+
+def test_cumulative_stops_at_last_position():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return 1.0
+
+    pieces = [(0.0, 1.0, f, False, False), (1.0, 2.0, f, False, False)]
+    assert wkb._cumulative(pieces, np.array([0.25, 0.5]))[-1] == pytest.approx(0.5)
+    assert seen and max(seen) <= 0.5
+
+
+@pytest.mark.parametrize("chain", ["homogeneous", "krawtchouk", "rainbow", "cosine",
+                                   "asym_cosine"])
+def test_cumulative_at_well_end_is_inverse_norm(request, chain):
+    # The conformal length L~ (times a) and A^-2 are one integral of 1/v;
+    # with the mode positions as stops it differs only by the splitting.
+    lat, cont = request.getfixturevalue(chain)
+    lo, hi = wkb.band_bounds(cont)
+    checked = 0
+    for frac in np.linspace(0.05, 0.95, 7):
+        eps = float(lo + frac * (hi - lo))
+        wd = wells(cont, eps)
+        if len(wd.wells) != 1:
+            continue
+        piece = wkb._well_piece(cont, eps, wd.wells[0])
+        x = lat.mode_positions
+        x = x[(x > piece[0]) & (x < piece[1])]
+        end = wkb._cumulative([piece], np.append(x, piece[1]))[-1]
+        assert end == pytest.approx(wd.inv_norms[0], rel=1e-9), eps
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("call", [

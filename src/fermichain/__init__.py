@@ -20,7 +20,7 @@ from .exact import (
     entanglement_entropy,
     filled_state,
 )
-from .numerics import Tolerance, clausen_cl2, eigensolve_tridiagonal, find_root, integrate
+from .numerics import clausen_cl2, eigensolve_tridiagonal, find_root, integrate
 from .profiles import (
     AsymmetricCosine,
     ContinuumProfile,

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .numerics import IntegrandSpec, Tolerance, clausen_cl2, integrate
+from .numerics import clausen_cl2, integrate
 
 
 # --- homogeneous chain ---------------------------------------------------
@@ -199,8 +199,9 @@ def cosine_numax(J0: float) -> float:
     def f(s):
         return math.acos(min((1.0 - J0) / (1.0 + J0 * math.cos(s)), 1.0))
 
-    tol = Tolerance(abs_tol=1e-13, rel_tol=1e-11, max_iter=400)
-    return integrate(IntegrandSpec(f, 0.0, math.pi), tol) / math.pi ** 2
+    # The independent oracle for the WKB critical filling: a tighter
+    # relative target than the library default.
+    return integrate(f, 0.0, math.pi, rel_tol=1e-11) / math.pi ** 2
 
 
 # --- asymmetric cosine chain ----------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, analytic, exact, profiles, wkb
+from . import __version__, analytic, exact, numerics, profiles, wkb
 from .numerics import NumericsError
 
 TASKS = (
@@ -106,16 +106,12 @@ def _fmt(v) -> str:
 
 
 def _write_table(cfg: RunConfig, name: str, meta: dict, columns: Dict[str, Sequence]):
-    from .numerics import DEFAULT_QUAD_TOL, DEFAULT_ROOT_TOL
-
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     header = {
         "config": {"task": cfg.task, "profile": cfg.profile, "params": cfg.params},
         "tolerances": {
-            "quadrature": {"abs": DEFAULT_QUAD_TOL.abs_tol,
-                           "rel": DEFAULT_QUAD_TOL.rel_tol},
-            "root": {"abs": DEFAULT_ROOT_TOL.abs_tol,
-                     "rel": DEFAULT_ROOT_TOL.rel_tol},
+            "quadrature": {"abs": numerics.QUAD_ABS_TOL, "rel": numerics.QUAD_REL_TOL},
+            "root": {"abs": numerics.ROOT_ABS_TOL, "rel": numerics.ROOT_REL_TOL},
         },
         "version": f"fermichain {__version__}",
         **meta,

@@ -8,10 +8,9 @@ so concurrent use is safe.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -48,27 +47,15 @@ class ConvergenceError(NumericsError):
         self.error_bound = error_bound
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy request: absolute and relative targets plus an iteration cap."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 60
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise InvalidInputError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise InvalidInputError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be a positive integer")
-
-
-DEFAULT_ROOT_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
-# Quadrature target 1e-9 relative; the iteration cap maps to the adaptive
-# subdivision limit.
-DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-9, max_iter=200)
+# Quadrature targets: absolute, relative, and the cap on adaptive
+# subintervals.  A result whose error bound exceeds 50 times the target
+# raises ConvergenceError.
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-9
+QUAD_LIMIT = 200
+# Brent stops at this absolute width plus 4 ulps of the root.
+ROOT_ABS_TOL = 1e-14
+ROOT_REL_TOL = float(4 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -95,31 +82,6 @@ class TridiagonalSymmetric:
         return self.diag.size
 
 
-class Singularity(enum.Enum):
-    """Declared endpoint behavior of an integrand."""
-
-    NONE = "none"
-    AT_LOWER = "inverse-sqrt-at-lower"
-    AT_UPPER = "inverse-sqrt-at-upper"
-    BOTH = "inverse-sqrt-both"
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Integrand with declared inverse-square-root endpoint singularities."""
-
-    f: Callable[[float], float]
-    lower: float
-    upper: float
-    singularity: Singularity = Singularity.NONE
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise InvalidInputError("integration bounds must be finite")
-        if self.lower > self.upper:
-            raise InvalidInputError("lower bound exceeds upper bound")
-
-
 def eigensolve_tridiagonal(
     m: TridiagonalSymmetric, want_vectors: bool = True
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -142,70 +104,54 @@ def eigensolve_tridiagonal(
     return w, None
 
 
-def _quad_checked(f, lo, hi, tol: Tolerance, points=None) -> float:
-    if lo == hi:
-        return 0.0
-    res = quad(
-        f,
-        lo,
-        hi,
-        epsabs=tol.abs_tol,
-        epsrel=tol.rel_tol,
-        limit=max(tol.max_iter, 50),
-        points=points,
-        full_output=1,
-    )
+def _quad_checked(f, lo, hi, rel_tol: float) -> float:
+    res = quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=rel_tol, limit=QUAD_LIMIT,
+               full_output=1)
     value, abserr = res[0], res[1]
-    requested = max(tol.abs_tol, tol.rel_tol * abs(value))
+    requested = max(QUAD_ABS_TOL, rel_tol * abs(value))
     if len(res) > 3 and abserr > 50 * requested:
         raise ConvergenceError("quadrature did not converge: " + res[3], value, abserr)
     return value
 
 
 def integrate(
-    spec: IntegrandSpec,
-    tol: Tolerance = DEFAULT_QUAD_TOL,
-    points: Optional[Sequence[float]] = None,
-) -> float:
-    """Improper integral of ``spec.f`` over [lower, upper].
-
-    Inverse-square-root endpoint singularities are removed before the
-    adaptive pass with the substitution u^2 = distance to the singular
-    endpoint; when both ends are singular the interval is split at its
-    midpoint.  Interior breakpoints may be passed via ``points`` for
-    integrands with known kinks (regular case only).
-    """
-    f, lo, hi = spec.f, spec.lower, spec.upper
-    if lo == hi:
-        return 0.0
-    kind = spec.singularity
-    if kind is Singularity.NONE:
-        pts = None
-        if points is not None:
-            pts = sorted(p for p in points if lo < p < hi)
-            pts = pts or None
-        return _quad_checked(f, lo, hi, tol, points=pts)
-    if kind is Singularity.BOTH:
-        mid = 0.5 * (lo + hi)
-        left = IntegrandSpec(f, lo, mid, Singularity.AT_LOWER)
-        right = IntegrandSpec(f, mid, hi, Singularity.AT_UPPER)
-        return integrate(left, tol) + integrate(right, tol)
-    if kind is Singularity.AT_LOWER:
-        def g(u):
-            return 2.0 * u * f(lo + u * u) if u > 0.0 else 0.0
-        return _quad_checked(g, 0.0, math.sqrt(hi - lo), tol)
-    # Singularity.AT_UPPER
-    def g(u):
-        return 2.0 * u * f(hi - u * u) if u > 0.0 else 0.0
-    return _quad_checked(g, 0.0, math.sqrt(hi - lo), tol)
-
-
-def find_root(
     f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = DEFAULT_ROOT_TOL,
+    lower: float,
+    upper: float,
+    lower_singular: bool = False,
+    upper_singular: bool = False,
+    rel_tol: float = QUAD_REL_TOL,
 ) -> float:
+    """Integral of ``f`` over the finite interval [lower, upper].
+
+    An end flagged singular may carry an inverse-square-root singularity;
+    it is removed before the adaptive pass with the substitution u^2 =
+    distance to that end.  When both ends are singular the interval is
+    split at its midpoint.
+    """
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise InvalidInputError("integration bounds must be finite")
+    if lower > upper:
+        raise InvalidInputError("lower bound exceeds upper bound")
+    if lower == upper:
+        return 0.0
+    if lower_singular and upper_singular:
+        mid = 0.5 * (lower + upper)
+        return (integrate(f, lower, mid, True, False, rel_tol)
+                + integrate(f, mid, upper, False, True, rel_tol))
+    if lower_singular:
+        def g(u):
+            return 2.0 * u * f(lower + u * u) if u > 0.0 else 0.0
+    elif upper_singular:
+        def g(u):
+            return 2.0 * u * f(upper - u * u) if u > 0.0 else 0.0
+    else:
+        return _quad_checked(f, lower, upper, rel_tol)
+    return _quad_checked(g, 0.0, math.sqrt(upper - lower), rel_tol)
+
+
+def find_root(f: Callable[[float], float], lo: float, hi: float,
+              xtol: float = ROOT_ABS_TOL) -> float:
     """Root of ``f`` inside [lo, hi] by Brent's bracketed method.
 
     Requires a sign change over the bracket; the returned point is always
@@ -218,14 +164,7 @@ def find_root(
         return hi
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    return brentq(
-        f,
-        lo,
-        hi,
-        xtol=max(tol.abs_tol, 1e-14),
-        rtol=max(tol.rel_tol, 4 * np.finfo(float).eps),
-        maxiter=max(tol.max_iter, 2),
-    )
+    return brentq(f, lo, hi, xtol=xtol, rtol=ROOT_REL_TOL, maxiter=100)
 
 
 # zeta(2n) for the accelerated Clausen series; 60 terms cover theta <= pi

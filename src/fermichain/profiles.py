@@ -282,23 +282,28 @@ def gerschgorin_bounds(
     return float(np.min(p.fields - radius)), float(np.max(p.fields + radius))
 
 
-def band_bounds(c: ContinuumProfile, resolution: int = 1 << 14) -> Tuple[float, float]:
+# Intervals of the uniform grid on which band_bounds locates the extremes
+# before refining around them.
+_BAND_RESOLUTION = 1 << 14
+
+
+def band_bounds(c: ContinuumProfile) -> Tuple[float, float]:
     """min(B - 2J) and max(B + 2J) over [0, l], refined near the extremes."""
-    xs = np.linspace(0.0, c.length, resolution + 1)
+    xs = np.linspace(0.0, c.length, _BAND_RESOLUTION + 1)
     lower = c.B(xs) - 2 * c.J(xs)
     upper = c.B(xs) + 2 * c.J(xs)
 
-    def refine(fn, i, vals, minimize):
+    def refine(fn, i, minimize):
         lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, resolution)]
+        hi = xs[min(i + 1, _BAND_RESOLUTION)]
         grid = np.linspace(lo, hi, 257)
         v = fn(grid)
         return float(np.min(v)) if minimize else float(np.max(v))
 
     i_min = int(np.argmin(lower))
     i_max = int(np.argmax(upper))
-    emin = refine(lambda x: c.B(x) - 2 * c.J(x), i_min, lower, True)
-    emax = refine(lambda x: c.B(x) + 2 * c.J(x), i_max, upper, False)
+    emin = refine(lambda x: c.B(x) - 2 * c.J(x), i_min, True)
+    emax = refine(lambda x: c.B(x) + 2 * c.J(x), i_max, False)
     return emin, emax
 
 

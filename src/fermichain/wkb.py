@@ -26,14 +26,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import (
-    BracketError,
-    IntegrandSpec,
-    Singularity,
-    Tolerance,
-    find_root,
-    integrate,
-)
+from .numerics import BracketError, find_root, integrate
 from .profiles import ContinuumProfile, band_bounds
 
 # Intervals of the uniform grid on which the region scan looks for sign
@@ -139,12 +132,8 @@ def _band_gap(c: ContinuumProfile, x, eps: float):
 
 def _turning_point(c: ContinuumProfile, eps: float, lo: float, hi: float) -> float:
     """Zero of the band gap inside [lo, hi], to 1e-12 l."""
-    return find_root(
-        lambda t: float(_band_gap(c, t, eps)),
-        lo,
-        hi,
-        Tolerance(abs_tol=1e-12 * c.length, rel_tol=4e-16, max_iter=100),
-    )
+    return find_root(lambda t: float(_band_gap(c, t, eps)), lo, hi,
+                     xtol=1e-12 * c.length)
 
 
 @lru_cache(maxsize=512)
@@ -209,16 +198,6 @@ def classified_regions(c: ContinuumProfile, eps: float) -> Tuple[Region, ...]:
     return _scan_regions(c, float(eps))
 
 
-# Singularity of an integrand on a stretch, keyed by whether its lower and
-# upper ends are inverse square-root singular.
-_SINGULARITY = {
-    (True, True): Singularity.BOTH,
-    (True, False): Singularity.AT_LOWER,
-    (False, True): Singularity.AT_UPPER,
-    (False, False): Singularity.NONE,
-}
-
-
 def _cumulative(pieces, xs: np.ndarray) -> np.ndarray:
     """Integral from the first piece's lower end to each sorted position.
 
@@ -237,9 +216,8 @@ def _cumulative(pieces, xs: np.ndarray) -> np.ndarray:
             x = min(xs[i], hi)
             if x > prev:
                 if callable(rule):
-                    singular = _SINGULARITY[bool(lo_singular and prev == lo),
-                                            bool(hi_singular and x == hi)]
-                    total += integrate(IntegrandSpec(rule, prev, x, singular))
+                    total += integrate(rule, prev, x, lo_singular and prev == lo,
+                                       hi_singular and x == hi)
                 else:
                     total += rule * (x - prev)
                 prev = x

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fermichain
-from fermichain import cli, exact
+from fermichain import cli, exact, numerics
 from fermichain.cli import compare_density, main, reproduce_catalog
 from fermichain.profiles import Krawtchouk, make_builtin
 
@@ -318,6 +318,22 @@ def test_output_header_echoes_tolerances(tmp_path):
     header, _, _ = _read_csv(out / "spectrum.csv")
     assert any("tolerances" in h for h in header)
     assert any("config" in h for h in header)
+
+
+def test_header_tolerances_are_the_numerics_constants(tmp_path):
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
+                    "N": 6},
+    })
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfgfile, "--out", str(out),
+                 "--format", "json"]) == 0
+    meta = json.loads((out / "spectrum.json").read_text())["meta"]
+    assert meta["tolerances"] == {
+        "quadrature": {"abs": numerics.QUAD_ABS_TOL, "rel": numerics.QUAD_REL_TOL},
+        "root": {"abs": numerics.ROOT_ABS_TOL, "rel": numerics.ROOT_REL_TOL},
+    }
+    assert numerics.ROOT_REL_TOL == 4 * np.finfo(float).eps
 
 
 def test_output_header_carries_package_version(tmp_path):

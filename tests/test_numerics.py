@@ -1,17 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermichain
 from fermichain import numerics
 from fermichain.numerics import (
     BracketError,
     ConvergenceError,
     DomainError,
-    IntegrandSpec,
     InvalidInputError,
-    Singularity,
-    Tolerance,
     TridiagonalSymmetric,
     clausen_cl2,
     eigensolve_tridiagonal,
@@ -105,30 +105,24 @@ def test_eigenvalues_are_critical_polynomial_roots():
 # --- quadrature ------------------------------------------------------------
 
 def test_constant_integrand():
-    assert integrate(IntegrandSpec(lambda x: 1.0, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_arcsine_integral_both_singular():
-    spec = IntegrandSpec(
-        lambda x: 1.0 / math.sqrt(1.0 - x * x), -1.0, 1.0, Singularity.BOTH
-    )
-    assert abs(integrate(spec) - math.pi) < 1e-10
+    f = lambda x: 1.0 / math.sqrt(1.0 - x * x)
+    assert abs(integrate(f, -1.0, 1.0, True, True) - math.pi) < 1e-10
 
 
 def test_interior_turning_point_integral_is_pi():
     x1, x2 = 0.2, 0.9
-    spec = IntegrandSpec(
-        lambda x: 1.0 / math.sqrt((x - x1) * (x2 - x)), x1, x2, Singularity.BOTH
-    )
-    assert abs(integrate(spec) - math.pi) < 1e-10
+    f = lambda x: 1.0 / math.sqrt((x - x1) * (x2 - x))
+    assert abs(integrate(f, x1, x2, True, True) - math.pi) < 1e-10
 
 
 def test_single_sided_singularities():
     # int_0^1 x^(-1/2) dx = 2 and the mirrored version
-    spec = IntegrandSpec(lambda x: x ** -0.5, 0.0, 1.0, Singularity.AT_LOWER)
-    assert abs(integrate(spec) - 2.0) < 1e-10
-    spec = IntegrandSpec(lambda x: (1 - x) ** -0.5, 0.0, 1.0, Singularity.AT_UPPER)
-    assert abs(integrate(spec) - 2.0) < 1e-10
+    assert abs(integrate(lambda x: x ** -0.5, 0.0, 1.0, lower_singular=True) - 2.0) < 1e-10
+    assert abs(integrate(lambda x: (1 - x) ** -0.5, 0.0, 1.0, upper_singular=True) - 2.0) < 1e-10
 
 
 def test_analytic_integrand_matches_fixed_rule():
@@ -137,35 +131,27 @@ def test_analytic_integrand_matches_fixed_rule():
     nodes, weights = np.polynomial.legendre.leggauss(50)
     lo, hi = 0.0, 2.0
     ref = float(np.sum(weights * np.vectorize(f)((hi - lo) / 2 * nodes + (hi + lo) / 2)) * (hi - lo) / 2)
-    assert abs(integrate(IntegrandSpec(f, lo, hi)) - ref) < 1e-10
-
-
-def test_interior_breakpoints():
-    f = lambda x: abs(x - 0.3) ** 0.5
-    val = integrate(IntegrandSpec(f, 0.0, 1.0), points=[0.3])
-    ref = (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5
-    assert abs(val - ref) < 1e-10
+    assert abs(integrate(f, lo, hi) - ref) < 1e-10
 
 
 def test_empty_interval():
-    assert integrate(IntegrandSpec(lambda x: 1.0, 0.5, 0.5)) == 0.0
+    assert integrate(lambda x: 1.0, 0.5, 0.5) == 0.0
 
 
-def test_tolerance_validation():
+def test_bounds_validation():
     with pytest.raises(InvalidInputError):
-        Tolerance(abs_tol=0.0, rel_tol=0.0)
+        integrate(lambda x: x, 1.0, 0.0)
     with pytest.raises(InvalidInputError):
-        Tolerance(max_iter=0)
+        integrate(lambda x: x, 0.0, math.inf)
     with pytest.raises(InvalidInputError):
-        IntegrandSpec(lambda x: x, 1.0, 0.0)
+        integrate(lambda x: x, math.nan, 1.0)
 
 
 def test_nonconvergence_reports_estimate():
-    # A wildly oscillatory integrand with a tiny subdivision budget.
+    # A wildly oscillatory integrand at a relative target near rounding.
     f = lambda x: math.sin(1e7 * x)
     with pytest.raises(ConvergenceError) as err:
-        integrate(IntegrandSpec(f, 0.0, 1.0),
-                  Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=1))
+        integrate(f, 0.0, 1.0, rel_tol=1e-14)
     assert math.isfinite(err.value.estimate)
     assert err.value.error_bound > 0
 
@@ -245,3 +231,49 @@ def test_clausen_domain():
         clausen_cl2(-0.5)
     with pytest.raises(DomainError):
         clausen_cl2(7.0)
+
+
+# --- architecture ----------------------------------------------------------
+
+PACKAGE = Path(fermichain.__file__).parent
+
+
+def _scipy_solver_imports(tree):
+    """scipy.integrate / scipy.optimize imports in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.startswith(("scipy.integrate", "scipy.optimize"))]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith(("scipy.integrate", "scipy.optimize")):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found += [a.name for a in node.names if a.name in ("integrate", "optimize")]
+    return found
+
+
+def _callers(tree, name):
+    """Top-level functions of a module that call ``name``, by bare name or
+    as an attribute; "<module>" for calls outside any function."""
+    out = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == name) or \
+                        (isinstance(f, ast.Attribute) and f.attr == name):
+                    out.add(owner)
+    return out
+
+
+def test_numerics_is_the_only_quadrature_and_root_finding_entry_point():
+    importers = {
+        path.name for path in PACKAGE.glob("*.py")
+        if _scipy_solver_imports(ast.parse(path.read_text()))
+    }
+    assert importers == {"numerics.py"}
+    wkb_tree = ast.parse((PACKAGE / "wkb.py").read_text())
+    assert _callers(wkb_tree, "integrate") == {"_cumulative"}
+    assert _callers(wkb_tree, "find_root") == {"_turning_point"}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermichain import wkb
+from fermichain import numerics, wkb
 from fermichain.profiles import (
     AsymmetricCosine,
     Cosine,
@@ -33,9 +33,9 @@ BUILTINS = {
     "asymmetric_cosine": AsymmetricCosine(0.75, 5.0, 2),
 }
 
-# Quadrature's relative target (numerics.DEFAULT_QUAD_TOL): nu and G are
-# exact only to this, so monotonicity holds up to it.
-QUAD_REL = 1e-9
+# Quadrature's relative target: nu and G are exact only to this, so
+# monotonicity holds up to it.
+QUAD_REL = numerics.QUAD_REL_TOL
 
 fraction = st.floats(0.0, 1.0)
 positions = st.lists(fraction, min_size=2, max_size=6)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fermichain import analytic, exact, wkb
-from fermichain.numerics import IntegrandSpec, Singularity, integrate
+from fermichain.numerics import integrate
 from fermichain.profiles import (
     AsymmetricCosine,
     Cosine,
@@ -284,7 +284,7 @@ def _filling_by_regions(cont, eps):
         elif r.kind == PARTIAL:
             def f(t):
                 return float(np.arccos(-np.clip(xi(cont, t, eps), -1.0, 1.0)))
-            total += integrate(IntegrandSpec(f, r.lower, r.upper))
+            total += integrate(f, r.lower, r.upper)
     return total / (math.pi * cont.length)
 
 
@@ -323,9 +323,9 @@ def test_cumulative_inverse_sqrt_ends(monkeypatch):
 
     declared = []
 
-    def recording(spec):
-        declared.append(spec.singularity)
-        return integrate(spec)
+    def recording(f, lower, upper, lower_singular, upper_singular):
+        declared.append((lower_singular, upper_singular))
+        return integrate(f, lower, upper, lower_singular, upper_singular)
 
     monkeypatch.setattr(wkb, "integrate", recording)
     pieces = [(-1.0, 0.0, f, True, False), (0.0, 1.0, f, False, True)]
@@ -333,12 +333,12 @@ def test_cumulative_inverse_sqrt_ends(monkeypatch):
     out = wkb._cumulative(pieces, xs)
     assert out == pytest.approx(np.arcsin(xs) + math.pi / 2, abs=1e-9)
     assert out[2] == out[3]
-    assert declared == [Singularity.AT_LOWER] + 3 * [Singularity.NONE] + [Singularity.AT_UPPER]
+    assert declared == [(True, False)] + 3 * [(False, False)] + [(False, True)]
 
     declared.clear()
     whole = wkb._cumulative([(-1.0, 1.0, f, True, True)], np.array([1.0]))
     assert whole == pytest.approx([math.pi], abs=1e-9)
-    assert declared == [Singularity.BOTH]
+    assert declared == [(True, True)]
 
 
 def test_cumulative_stops_at_last_position():

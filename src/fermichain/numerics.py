@@ -150,9 +150,9 @@ def integrate(
     return _quad_checked(g, 0.0, math.sqrt(upper - lower), rel_tol)
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float,
-              xtol: float = ROOT_ABS_TOL) -> float:
-    """Root of ``f`` inside [lo, hi] by Brent's bracketed method.
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` inside [lo, hi] by Brent's bracketed method, to
+    ROOT_ABS_TOL plus ROOT_REL_TOL of the root.
 
     Requires a sign change over the bracket; the returned point is always
     contained in the initial bracket.
@@ -164,7 +164,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    return brentq(f, lo, hi, xtol=xtol, rtol=ROOT_REL_TOL, maxiter=100)
+    return brentq(f, lo, hi, xtol=ROOT_ABS_TOL, rtol=ROOT_REL_TOL)
 
 
 # zeta(2n) for the accelerated Clausen series; 60 terms cover theta <= pi

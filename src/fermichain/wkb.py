@@ -131,9 +131,13 @@ def _band_gap(c: ContinuumProfile, x, eps: float):
 
 
 def _turning_point(c: ContinuumProfile, eps: float, lo: float, hi: float) -> float:
-    """Zero of the band gap inside [lo, hi], to 1e-12 l."""
-    return find_root(lambda t: float(_band_gap(c, t, eps)), lo, hi,
-                     xtol=1e-12 * c.length)
+    """Zero of the band gap inside [lo, hi], to full double precision.
+
+    The 1/v quadrature absorbs the inverse square root at a turning point
+    by a substitution that is exact only at the true zero; a root off by
+    even 1e-12 leaves a layer the quadrature cannot resolve.
+    """
+    return find_root(lambda t: float(_band_gap(c, t, eps)), lo, hi)
 
 
 @lru_cache(maxsize=512)
@@ -510,13 +514,13 @@ def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarr
     sites from the well ends, the worst diagonal errors against exact C
     are 1.3e-2 (cosine J0 = 0.5, M = 120, x = 183), 3.6e-2 and 1.5e-2
     (asymmetric cosine (0.75, 5, 2), M = 90 at x = 97 and M = 130 at
-    x = 110).  A position close to a turning point can raise
-    ConvergenceError: the turning point is located only to the root
-    finder's tolerance, so the substitution that absorbs the inverse
-    square root there leaves a sharp layer that the quadrature does not
-    resolve (asymmetric cosine M = 110 at x = 254, 0.0049 from the
-    turning point at 254.00488; Krawtchouk N = 4000 at eps_F = 0.9999,
-    x = 3029 and 3034).
+    x = 110).  Turning points are located to full double precision, so
+    positions a fraction of a site from one are fine.  Like :func:`wells`,
+    it can raise ConvergenceError when eps_F lies within about 1e-5 band
+    widths of a critical energy of B -/+ 2J, where a well end is nearly
+    tangent (measured within 1.4e-8 band widths of +-1 on cosine J0 = 0.5
+    and within 6.5e-6 band widths of the tangency energies of asymmetric
+    cosine (0.75, 5, 2)).
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim != 1:
@@ -586,8 +590,8 @@ def wkb_correlation_kernel(
     boundary term at eps_F, with no energy grid.  Valid for a single well
     at eps_F; more than one raises UnsupportedRegimeError.  Within about
     20 sites of a turning point (the Airy zone) errors reach 0.09-0.25,
-    interior near-tangent dips of B - 2J miss by up to 3.6e-2, and a
-    position close to a turning point can raise ConvergenceError; see
-    :func:`correlation_matrix`.
+    interior near-tangent dips of B - 2J miss by up to 3.6e-2, and an
+    eps_F within about 1e-5 band widths of a critical energy of B -/+ 2J
+    can raise ConvergenceError; see :func:`correlation_matrix`.
     """
     return float(correlation_matrix(c, eps_F, [x, y])[0, 1])

@@ -176,6 +176,17 @@ def test_krawtchouk_norm_at_chain_end_sliver(N, eps):
     assert wd.total_inv_norm == pytest.approx(math.pi * cont.length, rel=1e-9)
 
 
+@pytest.mark.parametrize("N", [400, 4000])
+def test_krawtchouk_inv_norm_sum_rule_to_full_precision(N):
+    # sum_i A_i^-2 = pi N a exactly; the turning points are located to full
+    # precision, so the 1/v quadrature meets the root it was built for.  A
+    # root found only to 1e-12 l misses by up to 1.1e-10.
+    _, cont = make_builtin(Krawtchouk(q=0.25), N)
+    for eps in np.linspace(0.02, 0.98, 49):
+        wd = wells(cont, float(eps))
+        assert wd.total_inv_norm == pytest.approx(math.pi * cont.length, rel=2e-12), eps
+
+
 # --- phase ---------------------------------------------------------------------
 
 def test_phase_zero_at_origin(homogeneous):
@@ -251,6 +262,16 @@ def test_spacing_outside_spectrum_is_infinite(homogeneous):
 def test_rainbow_dos_closed_form(rainbow):
     _, cont = rainbow
     for eps in (-0.95, -0.7, -0.6065, -0.3, -0.01, 0.4):
+        expect = analytic.rainbow_dos(1.0, eps, 400)
+        assert density_of_states(cont, eps) == pytest.approx(expect, rel=1e-8)
+
+
+def test_rainbow_dos_next_to_the_band_edges(rainbow):
+    # Narrow wells around the cusp at l/2: [199.996, 200.004] at -0.99999.
+    # With turning points found only to 1e-12 l, that energy raised
+    # ConvergenceError and +-0.9998 missed by 3.8e-7.
+    _, cont = rainbow
+    for eps in (-0.99999, -0.9998, 0.9998):
         expect = analytic.rainbow_dos(1.0, eps, 400)
         assert density_of_states(cont, eps) == pytest.approx(expect, rel=1e-8)
 
@@ -790,6 +811,24 @@ def test_correlation_matrix_in_the_bulk(kernel_spectra, family, M):
     K = wkb.correlation_matrix(cont, eF, x[bulk])
     C = _exact_c(s, M)[np.ix_(bulk, bulk)]
     assert np.abs(K - C).max() < BULK_TOL[family]
+
+
+@pytest.mark.parametrize("case", ["asymmetric_cosine", "krawtchouk"])
+def test_correlation_matrix_next_to_a_turning_point(case):
+    # Positions a fraction of a site from a turning point: asymmetric cosine
+    # (0.75, 5, 2) at eps_F = E_109 has x = 254 0.0049 from the turning
+    # point at 254.00488, and Krawtchouk at eps_F = 0.9999 has the
+    # well [2965.16, 3034.44].  Both raised ConvergenceError while the
+    # turning points were located only to 1e-12 l.
+    if case == "asymmetric_cosine":
+        lat, cont = make_builtin(AsymmetricCosine(0.75, 5.0, 2), 400)
+        eF, sites = float(exact.diagonalize(lat).energies[109]), slice(0, 400)
+    else:
+        lat, cont = make_builtin(Krawtchouk(q=0.25), 4000)
+        eF, sites = 0.9999, slice(2960, 3040)
+    K = wkb.correlation_matrix(cont, eF, lat.mode_positions[sites])
+    assert np.all(np.isfinite(K))
+    assert np.array_equal(K, K.T)
 
 
 @pytest.mark.parametrize("family", ["homogeneous", "krawtchouk", "rainbow", "cosine"])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ import numpy as np
 
 from . import __version__, analytic, exact, numerics, profiles, wkb
 from .numerics import NumericsError
+from .profiles import _is_int, _is_real
 
 TASKS = (
     "spectrum", "density", "filling-curve", "wells",
@@ -164,6 +164,8 @@ def _read_json(path: Path, what: str):
 def _profile_pair(cfg: RunConfig):
     record = cfg.profile
     if "path" in record:
+        if not isinstance(record["path"], str):
+            raise ConfigError(f"profile path must be a string, got {record['path']!r}")
         record = _read_json(Path(record["path"]), "profile")
     return profiles.from_config(record)
 
@@ -173,19 +175,6 @@ def _need_continuum(cont, task: str):
         raise ConfigError(f"task {task!r} needs a continuum profile "
                           "(builtin family or expression record)")
     return cont
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _list_of(params: dict, key: str, check, what: str) -> list:
@@ -526,12 +515,14 @@ def reproduce_catalog() -> List[str]:
 
 def run_reproduce(cfg: RunConfig) -> List[Path]:
     wanted = cfg.params.get("targets", cfg.params.get("figure", "all"))
-    if isinstance(wanted, str) and wanted != "all":
+    if isinstance(wanted, str):
         wanted = [wanted]
-    if wanted == "all" or wanted == ["all"]:
+    if not (isinstance(wanted, list) and all(isinstance(n, str) for n in wanted)):
+        raise ConfigError(f"targets must be a name or a list of names, got {wanted!r}")
+    if wanted == ["all"]:
         names = reproduce_catalog()
     else:
-        names = list(wanted)
+        names = wanted
         unknown = [n for n in names if n not in REPRODUCE_TARGETS]
         if unknown:
             raise ConfigError(f"unknown reproduce target(s): {unknown}")
@@ -564,6 +555,8 @@ def _load_config(task: str, args) -> RunConfig:
                           f"but {task!r} was requested")
     if task != "reproduce" and "profile" not in raw:
         raise ConfigError("config needs a 'profile' block")
+    if not isinstance(raw.get("profile", {}), dict):
+        raise ConfigError(f"'profile' must be a JSON object, got {raw['profile']!r}")
     params = {k: v for k, v in raw.items() if k not in ("profile", "task")}
     return RunConfig(
         task=task,

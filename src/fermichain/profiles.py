@@ -5,13 +5,26 @@ on-site fields B_n (sites n = 0..N-1), together with their smooth
 continuum counterparts J(x), B(x) on [0, l] where l = N*a and x = n*a.
 Builtin families: homogeneous, Krawtchouk, rainbow, cosine and an
 asymmetric cosine generalization.  Custom profiles come from explicit
-arrays or from expression strings in a small arithmetic grammar.
+arrays or from expression strings.
+
+An expression is a subset of Python expression syntax: numbers, the
+variable x, the constants pi and e, binary + - * / and ** (``^`` means
+``**``), unary + and -, parentheses, and one-argument calls of exp, log,
+sin, cos, abs and sqrt.  Precedence and associativity are Python's, so
+``-x^2`` is -(x^2) and ``2^3^2`` is 2^9.  Python's ``ast`` parses it and a
+whitelist walker compiles it to numpy calls; nothing is evaluated.
+Integers with leading zeros (``007``), numbers with underscores, prefixes
+or an imaginary part, and syntax trees deeper than 100 levels are
+rejected with ProfileError.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
@@ -75,21 +88,11 @@ class LatticeProfile:
         return bool(np.any(self.hoppings == 0.0))
 
 
-def _vectorized(fn):
-    """Ensure fn maps ndarray -> ndarray; wrap scalar-only callables."""
-    try:
-        out = fn(np.array([0.0, 0.5]))
-        if np.shape(out) == (2,):
-            return fn
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
-
-
 @dataclass(frozen=True, eq=False)
 class ContinuumProfile:
     """Smooth profile J(x), B(x) on [0, length], plus the lattice scale.
 
+    J and B map an array of positions to an array of the same shape.
     J must be positive on the open interval (endpoints may vanish, as for
     the Krawtchouk family).  lattice_spacing fixes the 1/a factors in the
     WKB phase, density of states and density formulas.
@@ -107,8 +110,6 @@ class ContinuumProfile:
             raise ProfileError("length must be positive")
         if not self.lattice_spacing > 0:
             raise ProfileError("lattice_spacing must be positive")
-        object.__setattr__(self, "J", _vectorized(self.J))
-        object.__setattr__(self, "B", _vectorized(self.B))
 
     @property
     def num_sites(self) -> int:
@@ -307,22 +308,21 @@ def band_bounds(c: ContinuumProfile) -> Tuple[float, float]:
     return emin, emax
 
 
-# --- expression grammar -------------------------------------------------
-#
-# expr   := term  { (+|-) term }
-# term   := factor { (*|/) factor }
-# factor := (+|-) factor | power
-# power  := atom [ (^|**) factor ]          (right associative)
-# atom   := NUMBER | x | pi | e | NAME(expr) | (expr)
-#
-# Functions: exp, log, sin, cos, abs, sqrt.  No eval() involved.
+# --- expression grammar (see the module docstring) ---------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
+# Characters an expression may contain; rejects quotes, brackets, commas,
+# comparisons, comments and non-ASCII names before the parser sees them.
+_CHARACTERS_RE = re.compile(r"[0-9A-Za-z_.\s+\-*/^()]*")
+# Decimal literals: no underscores, no 0x/0o/0b prefix, no imaginary part.
+_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# Syntax-tree levels an expression may have; keeps closure evaluation far
+# from Python's recursion limit.
+_MAX_DEPTH = 100
 
+_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
 _FUNCS = {
     "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
     "abs": np.abs, "sqrt": np.sqrt,
@@ -330,112 +330,57 @@ _FUNCS = {
 _CONSTS = {"pi": math.pi, "e": math.e}
 
 
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ProfileError(f"bad character in expression at {pos}: {text[pos:]!r}")
-            break
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    out.append(("end", None))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ProfileError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ProfileError(f"trailing input in expression {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = (lambda l, r: (lambda x: l(x) + r(x)))(node, rhs) if op == "+" \
-                else (lambda l, r: (lambda x: l(x) - r(x)))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            rhs = self.factor()
-            node = (lambda l, r: (lambda x: l(x) * r(x)))(node, rhs) if op == "*" \
-                else (lambda l, r: (lambda x: l(x) / r(x)))(node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            inner = self.factor()
-            if op == "-":
-                return lambda x: -inner(x)
-            return inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() in (("op", "^"), ("op", "**")):
-            self.next()
-            exponent = self.factor()
-            return lambda x: base(x) ** exponent(x)
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return lambda x, v=val: np.full_like(np.asarray(x, dtype=float), v)
-        if kind == "name":
-            if val == "x":
-                return lambda x: np.asarray(x, dtype=float)
-            if val in _CONSTS:
-                return lambda x, v=_CONSTS[val]: np.full_like(np.asarray(x, dtype=float), v)
-            if val in _FUNCS:
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return lambda x, f=_FUNCS[val]: f(inner(x))
-            raise ProfileError(f"unknown name {val!r} in expression {self.text!r}")
-        if (kind, val) == ("op", "("):
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ProfileError(f"unexpected token {val!r} in expression {self.text!r}")
+def _closure(node: ast.AST, source: str, depth: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The numpy closure of a whitelisted syntax-tree node at ``depth``."""
+    if depth > _MAX_DEPTH:
+        raise ProfileError(f"expression nested deeper than {_MAX_DEPTH} levels")
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        lhs = _closure(node.left, source, depth + 1)
+        rhs = _closure(node.right, source, depth + 1)
+        return lambda x: op(lhs(x), rhs(x))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        inner = _closure(node.operand, source, depth + 1)
+        return inner if isinstance(node.op, ast.UAdd) else lambda x: -inner(x)
+    if isinstance(node, ast.Constant):
+        text = ast.get_source_segment(source, node)
+        if not _NUMBER_RE.fullmatch(text):
+            raise ProfileError(f"bad number {text!r} in expression {source!r}")
+        return lambda x, v=float(text): np.full_like(x, v)
+    if isinstance(node, ast.Name):
+        if node.id == "x":
+            return lambda x: x
+        if node.id in _CONSTS:
+            return lambda x, v=_CONSTS[node.id]: np.full_like(x, v)
+        raise ProfileError(f"unknown name {node.id!r} in expression {source!r}")
+    # A call's own column is its function name's: "(exp)(x)" is rejected.
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and node.func.col_offset == node.col_offset
+            and len(node.args) == 1 and not node.keywords):
+        f, inner = _FUNCS[node.func.id], _closure(node.args[0], source, depth + 1)
+        return lambda x: f(inner(x))
+    raise ProfileError(f"unsupported syntax {ast.get_source_segment(source, node)!r} "
+                       f"in expression {source!r}")
 
 
 def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression in the profile grammar to a vectorized callable."""
     if not isinstance(text, str) or not text.strip():
         raise ProfileError("expression must be a nonempty string")
-    node = _Parser(text).parse()
+    if not _CHARACTERS_RE.fullmatch(text):
+        raise ProfileError(f"bad character in expression {text!r}")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            # A number glued to a keyword ("1if") is a SyntaxError, not a
+            # warning printed to stderr.
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(source, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # Python's parser gives up on very deep input with RecursionError
+        # or MemoryError.
+        raise ProfileError(f"cannot parse expression {text!r}: {exc}") from exc
+    node = _closure(tree.body, source, 1)
 
     def fn(x):
         return node(np.asarray(x, dtype=float))
@@ -444,6 +389,41 @@ def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 # --- custom profile records ---------------------------------------------
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _site_count(record: dict) -> int:
+    """The record's 'N', an integer >= 2."""
+    N = record["N"]
+    if not (_is_int(N) and N >= 2):
+        raise ProfileError(f"N must be an integer >= 2, got {N!r}")
+    return N
+
+
+def _spacing(record: dict) -> float:
+    """The record's 'lattice_spacing' (default 1), a finite positive number."""
+    a = record.get("lattice_spacing", 1.0)
+    if not (_is_real(a) and a > 0):
+        raise ProfileError(f"lattice_spacing must be a finite positive number, got {a!r}")
+    return float(a)
+
+
+def _real_array(values, key: str) -> np.ndarray:
+    if not (isinstance(values, (list, tuple)) and all(_is_real(v) for v in values)):
+        raise ProfileError(f"array {key!r} must be a list of finite numbers")
+    return np.asarray(values, dtype=float)
+
 
 def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile]]:
     """Build a profile from a description record.
@@ -458,20 +438,21 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
     In the expression form the chain length is N * lattice_spacing and the
     lattice arrays are produced by :func:`discretize`.  Only the lattice
     profile is returned in the array form (no continuum information).
+    Array entries and the lattice spacing are finite numbers, N an integer;
+    anything else raises ProfileError.
     """
     if not isinstance(source, dict):
         raise ProfileError("profile record must be a mapping")
-    a = source.get("lattice_spacing", 1.0)
+    a = _spacing(source)
     if "arrays" in source:
         arrays = source["arrays"]
         if not isinstance(arrays, dict) or "J" not in arrays or "B" not in arrays:
             raise ProfileError("array record needs 'J' and 'B' entries")
-        lat = LatticeProfile(np.asarray(arrays["J"], dtype=float),
-                             np.asarray(arrays["B"], dtype=float),
-                             lattice_spacing=float(a))
-        if "N" in source and int(source["N"]) != lat.num_sites:
+        lat = LatticeProfile(_real_array(arrays["J"], "J"), _real_array(arrays["B"], "B"),
+                             lattice_spacing=a)
+        if "N" in source and not (_is_int(source["N"]) and source["N"] == lat.num_sites):
             raise ProfileError(
-                f"declared N={source['N']} does not match array length {lat.num_sites}"
+                f"declared N={source['N']!r} does not match array length {lat.num_sites}"
             )
         return lat, None
     if "expressions" in source:
@@ -480,10 +461,7 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
             raise ProfileError("expression record needs 'J' and 'B' entries")
         if "N" not in source:
             raise ProfileError("expression record needs 'N'")
-        N = int(source["N"])
-        if N < 2:
-            raise ProfileError("N must be >= 2")
-        a = float(a)
+        N = _site_count(source)
         cont = ContinuumProfile(
             J=compile_expression(exprs["J"]),
             B=compile_expression(exprs["B"]),
@@ -506,23 +484,38 @@ _FAMILY_BY_NAME = {
 }
 
 
+def _check_parameter(name: str, key: str, value) -> None:
+    """Family parameters are finite numbers, except the flag 'rescaled' and
+    the integer 'r'."""
+    if key == "rescaled":
+        ok, what = isinstance(value, bool), "true or false"
+    elif key == "r":
+        ok, what = _is_int(value), "an integer"
+    else:
+        ok, what = _is_real(value), "a finite number"
+    if not ok:
+        raise ProfileError(f"parameter {key!r} of family {name!r} must be {what}, "
+                           f"got {value!r}")
+
+
 def from_config(record: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile]]:
     """Profile from a config record: builtin family or custom description."""
     if not isinstance(record, dict):
         raise ProfileError("profile config must be a mapping")
     if "family" in record:
         name = record["family"]
-        if name not in _FAMILY_BY_NAME:
+        if not isinstance(name, str) or name not in _FAMILY_BY_NAME:
             raise ProfileError(f"unknown family {name!r}")
         params = record.get("parameters", {})
         if not isinstance(params, dict):
             raise ProfileError("'parameters' must be a mapping")
+        for key, value in params.items():
+            _check_parameter(name, key, value)
         try:
             family = _FAMILY_BY_NAME[name](**params)
         except TypeError as exc:
             raise ProfileError(f"bad parameters for family {name!r}: {exc}") from exc
         if "N" not in record:
             raise ProfileError("family record needs 'N'")
-        return make_builtin(family, int(record["N"]),
-                            float(record.get("lattice_spacing", 1.0)))
+        return make_builtin(family, _site_count(record), _spacing(record))
     return load_custom(record)

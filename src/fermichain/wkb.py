@@ -302,19 +302,27 @@ def _filled_integral(c: ContinuumProfile, xs: np.ndarray, eps: float) -> np.ndar
     return _cumulative(pieces, xs)
 
 
+def _positions(c: ContinuumProfile, x) -> np.ndarray:
+    """``x`` as floats clamped to l; NaN or anything outside [0, l (1 + 1e-12)]
+    raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    ell = c.length
+    if x.size and not (x.min() >= 0.0 and x.max() <= ell * (1 + 1e-12)):
+        raise ValueError(f"positions must lie in [0, {ell}], got "
+                         f"min {x.min()}, max {x.max()}")
+    return np.minimum(x, ell)
+
+
 def phase(c: ContinuumProfile, x, eps: float):
     """WKB phase (1/a) * integral of arccos(xi*) from 0 to x = (pi x - G(x)) / a.
 
-    ``x`` is a position or an array of positions in any order.  Depleted
-    stretches contribute pi per unit length / a, saturated ones nothing;
-    the O(a^0) constant is fixed to zero.
+    ``x`` is a position or an array of positions in [0, l], in any
+    order.  Depleted stretches contribute pi per unit length / a,
+    saturated ones nothing; the O(a^0) constant is fixed to zero.
     """
-    xa = np.asarray(x, dtype=float)
-    order = np.argsort(xa, axis=None)  # NaN sorts last
+    xa = _positions(c, x)
+    order = np.argsort(xa, axis=None)
     xs = xa.ravel()[order]
-    if xs.size and not (xs[0] >= 0.0 and xs[-1] <= c.length * (1 + 1e-12)):
-        raise ValueError(f"x={x} outside [0, {c.length}]")
-    xs = np.minimum(xs, c.length)
     out = np.empty(xa.shape)
     out.flat[order] = (math.pi * xs - _filled_integral(c, xs, eps)) / c.lattice_spacing
     return out if out.ndim else float(out)
@@ -373,16 +381,14 @@ def density_profile(
     eps_F: float,
     grid: Sequence[float],
 ) -> DensityProfile:
-    """Local density a*rho = 1/2 + arcsin(xi*) / pi on the given positions.
+    """Local density a*rho = 1/2 + arcsin(xi*) / pi at positions in [0, l].
 
     Region classification: depleted where eps_F <= B - 2J (density exactly
     0), saturated where eps_F >= B + 2J (exactly 1), partial elsewhere.
     Points with J(x) = 0 take the limit of the clamp: the sign of
     eps_F - B(x) decides 0, 1 or 1/2.
     """
-    x = np.asarray(grid, dtype=float)
-    if x.size and (x.min() < -1e-12 or x.max() > c.length * (1 + 1e-12)):
-        raise ValueError("grid extends outside [0, l]")
+    x = _positions(c, grid)
     J = c.J(x)
     B = c.B(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -448,7 +454,8 @@ def envelope(
     """Positive envelope A / sqrt(J (1 - xi^2)^(1/2)) of the wavefunction.
 
     Returns the positive branch; the curves are the plus/minus pair.
-    Zero outside the wells, turning-point neighborhoods skipped.
+    Zero outside the wells, turning-point neighborhoods skipped.  Grid
+    points lie in [0, l]; NaN or a point outside raises ValueError.
     """
     if wd.is_empty:
         raise UnsupportedRegimeError("no wells at this energy")
@@ -459,7 +466,7 @@ def envelope(
         if not 0 <= i < len(wd.wells):
             raise UnsupportedRegimeError(f"well index {i} out of range")
         chosen, A = wd.wells[i:i + 1], 1.0 / math.sqrt(wd.inv_norms[i])
-    x = np.sort(np.asarray(grid, dtype=float))
+    x = np.sort(_positions(c, grid))
     x = x[_keep_mask(wd, x, c.length)]
     amp = _amplitude(c, x, eps)
     values = np.zeros(x.size)
@@ -522,13 +529,10 @@ def correlation_matrix(c: ContinuumProfile, eps_F: float, positions) -> np.ndarr
     and within 6.5e-6 band widths of the tangency energies of asymmetric
     cosine (0.75, 5, 2)).
     """
-    x = np.asarray(positions, dtype=float)
+    x = _positions(c, positions)
     if x.ndim != 1:
         raise ValueError("positions must be a 1-d array")
     ell = c.length
-    if x.size and not (x.min() >= 0.0 and x.max() <= ell * (1 + 1e-12)):
-        raise ValueError(f"positions outside [0, {ell}]")
-    x = np.minimum(x, ell)
     ws = _wells_of(classified_regions(c, eps_F), ell)
     if len(ws) > 1:
         raise UnsupportedRegimeError(

@@ -254,6 +254,47 @@ def test_out_of_range_input_is_config_error(tmp_path, capsys, task, params):
     assert not (tmp_path / "o").exists()
 
 
+_HOMOGENEOUS = {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0}, "N": 40}
+
+
+def _expressions(J):
+    return {"expressions": {"J": J, "B": "0"}, "N": 40}
+
+
+@pytest.mark.parametrize("task, config", [
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "N": 10.7}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "N": "abc"}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "N": [3]}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "lattice_spacing": "x"}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "family": ["cosine"]}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "parameters": {"J": True}}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "parameters": {"J": "x"}}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "parameters": {"B": "x"}}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "parameters": {"J": [1, 2]}}}),
+    ("spectrum", {"profile": {"family": "krawtchouk", "N": 40,
+                              "parameters": {"q": 0.25, "rescaled": "no"}}}),
+    ("spectrum", {"profile": {"family": "asymmetric_cosine", "N": 40,
+                              "parameters": {"b": "x"}}}),
+    ("spectrum", {"profile": {"arrays": {"J": [1.0, "a"], "B": [0.0, 0.0, 0.0]}}}),
+    ("spectrum", {"profile": 5}),
+    ("spectrum", {"profile": {"path": 5}}),
+    ("reproduce", {"targets": 5}),
+    ("reproduce", {"targets": [["rainbow-density"]]}),
+    ("spectrum", {"profile": _expressions("(" * 300 + "x" + ")" * 300)}),
+    ("spectrum", {"profile": _expressions("-" * 300 + "x")}),
+    ("spectrum", {"profile": _expressions("+".join(["x"] * 3000))}),
+], ids=["N-float", "N-string", "N-list", "spacing-string", "family-list",
+        "parameter-bool", "J-string", "B-string", "J-list", "rescaled-string",
+        "b-string", "array-entry-string", "profile-scalar", "path-scalar",
+        "targets-scalar", "targets-nested-list", "expression-300-parentheses",
+        "expression-300-signs", "expression-3000-terms"])
+def test_malformed_profile_or_targets_is_config_error(tmp_path, capsys, task, config):
+    cfgfile = _write_config(tmp_path, config)
+    assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_density_needs_continuum(tmp_path):
     cfgfile = _write_config(tmp_path, {
         "profile": {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}},

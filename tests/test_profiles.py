@@ -1,7 +1,12 @@
+import ast
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermichain import profiles
 from fermichain.profiles import (
@@ -183,6 +188,12 @@ def test_lattice_validation():
     ("sqrt(x)", 4.0, 2.0),
     ("x/2 - 1", 5.0, 1.5),
     ("2**3", 0.0, 8.0),
+    ("2^3^2", 0.0, 512.0),
+    ("-x**2", 1.5, -2.25),
+    ("x**-x", 2.0, 0.25),
+    ("1 +\n  x", 2.0, 3.0),
+    pytest.param("(" * 199 + "x + 1" + ")" * 199, 1.0, 2.0, id="199-parentheses"),
+    pytest.param("-" * 99 + "x", 2.0, -2.0, id="100-levels"),
 ])
 def test_expression_values(text, x, expected):
     f = compile_expression(text)
@@ -195,10 +206,102 @@ def test_expression_vectorized():
     assert np.allclose(out, [1.5, 1.0, 0.5], atol=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["", "x+", "foo(x)", "1..2", "(x", "x$y", "sin x"])
+@pytest.mark.parametrize("bad", [
+    "", "x+", "foo(x)", "1..2", "(x", "x$y", "sin x",
+    "x.real", "exp(x, 2)", "1_0", "0x1", "1j", "True", "x if x else 1", "x # c",
+    "007", "(exp)(x)", "exp(*x)", "x // 2",
+    pytest.param("-" * 100 + "x", id="101-levels"),
+    pytest.param("+".join(["x"] * 3000), id="3000-terms"),
+    pytest.param("(" * 300 + "x" + ")" * 300, id="300-parentheses"),
+    pytest.param("-" * 100000 + "x", id="100000-signs"),
+])
 def test_expression_errors(bad):
     with pytest.raises(ProfileError):
         compile_expression(bad)
+
+
+@pytest.mark.parametrize("bad", ["1if x else 2", "1or x", "0x1for"])
+def test_number_glued_to_a_keyword_is_an_error_not_a_warning(bad, recwarn):
+    with pytest.raises(ProfileError):
+        compile_expression(bad)
+    assert not recwarn.list
+
+
+# Random expression trees of the documented grammar.  A node is a number
+# text, a name, (op, operand) for unary + and -, (op, lhs, rhs) for a binary
+# operator, or (function, argument).
+_UNARY = {"-": operator.neg, "+": operator.pos}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "**": operator.pow}
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+              "abs": np.abs, "sqrt": np.sqrt}
+# Binding strength of each form in Python's grammar: a sum, a product, a
+# unary operand, a power, an atom.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "unary": 3, "**": 4, "atom": 5}
+
+_numbers = st.one_of(
+    st.builds(lambda whole, frac, exp: whole + frac + exp,
+              st.sampled_from(["0", "1", "2", "3", "17", "250"]),
+              st.sampled_from(["", ".", ".5", ".25", ".125"]),
+              st.sampled_from(["", "e2", "E-1", "e+0"])),
+    st.sampled_from([".5", ".75", ".125e1"]),
+)
+_leaves = st.one_of(_numbers, st.sampled_from(["x", "x", "pi", "e"]))
+_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(sorted(_UNARY)), sub),
+    st.tuples(st.sampled_from(sorted(_BINARY)), sub, sub),
+    st.tuples(st.sampled_from(sorted(_FUNCTIONS)), sub),
+), max_leaves=12)
+
+
+def _evaluate(node, x):
+    if isinstance(node, str):
+        if node == "x":
+            return x
+        return np.full_like(x, {"pi": math.pi, "e": math.e}.get(node) or float(node))
+    if node[0] in _FUNCTIONS:
+        return _FUNCTIONS[node[0]](_evaluate(node[1], x))
+    if len(node) == 2:
+        return _UNARY[node[0]](_evaluate(node[1], x))
+    return _BINARY[node[0]](_evaluate(node[1], x), _evaluate(node[2], x))
+
+
+def _render(node, rnd):
+    """(text, level) with only the parentheses Python's precedence needs,
+    plus random redundant ones, random spacing and ^ for ** at random."""
+    def gap():
+        return rnd.choice(["", "", " ", "  ", "\n"])
+
+    def operand(child, least):
+        text, level = _render(child, rnd)
+        if level < least or rnd.random() < 0.2:
+            return f"({gap()}{text}{gap()})"
+        return text
+
+    if isinstance(node, str):
+        return node, _LEVEL["atom"]
+    if node[0] in _FUNCTIONS:
+        return f"{node[0]}{gap()}({gap()}{operand(node[1], 0)}{gap()})", _LEVEL["atom"]
+    if len(node) == 2:
+        return node[0] + gap() + operand(node[1], _LEVEL["unary"]), _LEVEL["unary"]
+    op, level = node[0], _LEVEL[node[0]]
+    if op == "**":  # right associative, atom base, unary exponent
+        lhs, rhs = operand(node[1], _LEVEL["atom"]), operand(node[2], _LEVEL["unary"])
+        op = rnd.choice(["**", "^"])
+    else:  # left associative
+        lhs, rhs = operand(node[1], level), operand(node[2], level + 1)
+    return lhs + gap() + op + gap() + rhs, level
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tree=_trees, rnd=st.randoms(use_true_random=False))
+def test_expression_follows_python_precedence_bitwise(tree, rnd):
+    text, _ = _render(tree, rnd)
+    x = np.linspace(-2.0, 3.0, 11)
+    with np.errstate(all="ignore"):
+        got = compile_expression(text)(x)
+        want = _evaluate(tree, x)
+    assert got.tobytes() == want.tobytes(), text
 
 
 # --- custom records --------------------------------------------------------------
@@ -247,3 +350,62 @@ def test_from_config_family():
         from_config({"family": "unknown", "N": 8})
     with pytest.raises(ProfileError):
         from_config({"family": "rainbow", "parameters": {"bogus": 1}, "N": 8})
+
+
+_HOMOGENEOUS = {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0}, "N": 8}
+_EXPRESSIONS = {"expressions": {"J": "1", "B": "x"}, "N": 8}
+_ARRAYS = {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("record", [
+    {**_HOMOGENEOUS, "N": 10.7},
+    {**_HOMOGENEOUS, "N": "abc"},
+    {**_HOMOGENEOUS, "N": [3]},
+    {**_HOMOGENEOUS, "N": True},
+    {**_HOMOGENEOUS, "N": 1},
+    {**_HOMOGENEOUS, "lattice_spacing": "x"},
+    {**_HOMOGENEOUS, "lattice_spacing": 0},
+    {**_HOMOGENEOUS, "lattice_spacing": math.inf},
+    {**_HOMOGENEOUS, "family": ["cosine"]},
+    {**_HOMOGENEOUS, "parameters": {"J": True}},
+    {**_HOMOGENEOUS, "parameters": {"J": "x"}},
+    {**_HOMOGENEOUS, "parameters": {"B": "x"}},
+    {**_HOMOGENEOUS, "parameters": {"J": [1, 2]}},
+    {"family": "krawtchouk", "parameters": {"q": 0.25, "rescaled": "no"}, "N": 8},
+    {"family": "asymmetric_cosine", "parameters": {"b": "x"}, "N": 8},
+    {"family": "asymmetric_cosine", "parameters": {"r": 2.0}, "N": 8},
+    {**_EXPRESSIONS, "N": "abc"},
+    {**_EXPRESSIONS, "N": 8.0},
+    {**_EXPRESSIONS, "lattice_spacing": "x"},
+    {**_ARRAYS, "arrays": {"J": [1.0, "a"], "B": [0.0, 0.0, 0.0]}},
+    {**_ARRAYS, "arrays": {"J": [1.0, True], "B": [0.0, 0.0, 0.0]}},
+    {**_ARRAYS, "arrays": {"J": 1.0, "B": [0.0, 0.0, 0.0]}},
+    {**_ARRAYS, "N": 3.0},
+    {**_ARRAYS, "lattice_spacing": -1.0},
+])
+def test_malformed_records_raise_profile_error(record):
+    with pytest.raises(ProfileError):
+        from_config(record)
+
+
+def test_well_formed_records_keep_their_values():
+    lat, _ = from_config({**_HOMOGENEOUS, "N": 8, "lattice_spacing": 2})
+    assert lat.num_sites == 8 and lat.lattice_spacing == 2.0
+    _, cont = from_config({"family": "krawtchouk",
+                           "parameters": {"q": 0.25, "rescaled": False}, "N": 8})
+    assert cont.params["rescaled"] is False
+    lat, _ = from_config({**_ARRAYS, "N": 3, "arrays": {"J": [1, 2], "B": [0, 0, 1]}})
+    assert np.array_equal(lat.fields, [0.0, 0.0, 1.0])
+
+
+def test_package_never_evaluates_code():
+    # Expressions are compiled by a whitelist walker; no source reaches eval.
+    forbidden = {"eval", "exec", "compile", "__import__"}
+    package = Path(profiles.__file__).parent
+    used = {
+        (path.name, node.id)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in forbidden
+    }
+    assert not used

@@ -232,6 +232,30 @@ def test_phase_rejects_nan_position(homogeneous):
         wkb_correlation_kernel(cont, 0.5, 10.0, math.nan)
 
 
+@pytest.mark.parametrize("bad", [500.0, math.nan, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda c, x: phase(c, np.array([10.0, x]), 0.3),
+    lambda c, x: density_profile(c, 0.3, [10.0, x]),
+    lambda c, x: envelope(c, 0.3, wells(c, 0.3), [10.0, x]),
+    lambda c, x: wkb.correlation_matrix(c, 0.3, [10.0, x]),
+], ids=["phase", "density_profile", "envelope", "correlation_matrix"])
+def test_positions_outside_the_chain_raise(cosine, call, bad):
+    _, cont = cosine
+    with pytest.raises(ValueError, match="positions must lie in"):
+        call(cont, bad)
+
+
+def test_positions_just_past_the_end_are_clamped(cosine):
+    _, cont = cosine
+    ell = cont.length
+    edge = ell * (1 + 1e-13)
+    prof = density_profile(cont, 0.3, [0.0, edge])
+    assert prof.x[-1] == ell
+    x, _ = envelope(cont, 0.3, wells(cont, 0.3), [ell / 2, edge])
+    assert x[-1] == ell
+    assert phase(cont, edge, 0.3) == phase(cont, ell, 0.3)
+
+
 # --- density of states and spacing ----------------------------------------------
 
 def test_krawtchouk_dos_constant(krawtchouk):

@@ -28,11 +28,6 @@ from . import __version__, analytic, exact, numerics, profiles, wkb
 from .numerics import NumericsError
 from .profiles import _is_int, _is_real
 
-TASKS = (
-    "spectrum", "density", "filling-curve", "wells",
-    "envelope", "frequencies", "compare", "reproduce",
-)
-
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
@@ -50,51 +45,6 @@ class RunConfig:
     out_dir: Path
     fmt: str = "csv"
     deterministic: bool = False
-
-
-@dataclass
-class ComparisonReport:
-    """Error metrics between exact and WKB series on a common grid."""
-
-    quantity: str
-    grid: np.ndarray
-    exact_values: np.ndarray
-    wkb_values: np.ndarray
-    bulk_margin: int
-    runtime: float
-
-    @property
-    def sup_error(self) -> float:
-        return float(np.abs(self.exact_values - self.wkb_values).max())
-
-    @property
-    def mean_abs_error(self) -> float:
-        return float(np.abs(self.exact_values - self.wkb_values).mean())
-
-    @property
-    def bulk_sup_error(self) -> float:
-        m = self.bulk_margin
-        core = slice(m, len(self.grid) - m)
-        return float(np.abs(self.exact_values - self.wkb_values)[core].max())
-
-
-def compare_density(spectrum, cont, M: int) -> ComparisonReport:
-    """Exact vs WKB site density at filling M/N, bulk margin ceil(N/20);
-    ``runtime`` excludes the eigensolve that made ``spectrum``."""
-    t0 = time.perf_counter()
-    lat = spectrum.profile
-    st = exact.filled_state(spectrum, M)
-    rho_exact = exact.density_exact(spectrum, st)
-    prof = wkb.density_profile(cont, st.fermi_energy, lat.site_positions)
-    margin = int(np.ceil(lat.num_sites / 20))
-    return ComparisonReport(
-        quantity="density",
-        grid=lat.site_positions,
-        exact_values=rho_exact,
-        wkb_values=prof.density,
-        bulk_margin=margin,
-        runtime=time.perf_counter() - t0,
-    )
 
 
 # --- output helpers -------------------------------------------------------
@@ -237,19 +187,27 @@ def _fillings_to_M(params: dict, N: int) -> List[int]:
     return out
 
 
-def run_density(cfg: RunConfig) -> List[Path]:
+def _filled_densities(cfg: RunConfig):
+    """(lattice, M, eps_F, exact a*rho, WKB density profile) for each filling
+    of the config, all from one eigensolve."""
     lat, cont = _profile_pair(cfg)
     cont = _need_continuum(cont, cfg.task)
+    Ms = _fillings_to_M(cfg.params, lat.num_sites)
     spectrum = exact.diagonalize(lat)
-    out = []
-    for M in _fillings_to_M(cfg.params, lat.num_sites):
+    for M in Ms:
         st = exact.filled_state(spectrum, M)
         rho = exact.density_exact(spectrum, st)
-        prof = wkb.density_profile(cont, st.fermi_energy, lat.site_positions)
+        yield (lat, M, st.fermi_energy, rho,
+               wkb.density_profile(cont, st.fermi_energy, lat.site_positions))
+
+
+def run_density(cfg: RunConfig) -> List[Path]:
+    out = []
+    for lat, M, eps_F, rho, prof in _filled_densities(cfg):
         regions = [[r.lower, r.upper, r.kind] for r in prof.regions]
         out.append(_write_table(
             cfg, f"density_M{M}",
-            {"M": M, "fermi_energy": st.fermi_energy, "regions": json.dumps(regions)},
+            {"M": M, "fermi_energy": eps_F, "regions": json.dumps(regions)},
             {"site": list(range(lat.num_sites)),
              "x": list(lat.site_positions),
              "density_exact": list(rho),
@@ -357,26 +315,25 @@ def run_frequencies(cfg: RunConfig) -> List[Path]:
 
 
 def run_compare(cfg: RunConfig) -> List[Path]:
-    lat, cont = _profile_pair(cfg)
-    cont = _need_continuum(cont, cfg.task)
-    Ms, rows, paths = _fillings_to_M(cfg.params, lat.num_sites), [], []
-    spectrum = exact.diagonalize(lat)
-    for M in Ms:
-        rep = compare_density(spectrum, cont, M)
-        rows.append((M, M / lat.num_sites, rep.sup_error, rep.mean_abs_error,
-                     rep.bulk_sup_error, rep.runtime))
+    """The density task's arrays per filling, plus a report of their sup,
+    mean and bulk-sup errors; the bulk leaves out ceil(N/20) sites at
+    either end."""
+    rows, paths = [], []
+    for lat, M, _, rho, prof in _filled_densities(cfg):
+        N = lat.num_sites
+        margin = int(np.ceil(N / 20))
+        err = np.abs(rho - prof.density)
+        rows.append((M, M / N, float(err.max()), float(err.mean()),
+                     float(err[margin:N - margin].max())))
         paths.append(_write_table(
             cfg, f"compare_series_M{M}",
-            {"M": M, "bulk_margin_sites": rep.bulk_margin},
-            {"x": list(rep.grid),
-             "density_exact": list(rep.exact_values),
-             "density_wkb": list(rep.wkb_values)},
+            {"M": M, "bulk_margin_sites": margin},
+            {"x": list(lat.site_positions),
+             "density_exact": list(rho),
+             "density_wkb": list(prof.density)},
         ))
-    cols = dict(zip(
-        ("M", "filling", "sup_error", "mean_abs_error", "bulk_sup_error", "runtime_s"),
-        map(list, zip(*rows)),
-    ))
-    margin = int(np.ceil(lat.num_sites / 20))
+    cols = dict(zip(("M", "filling", "sup_error", "mean_abs_error", "bulk_sup_error"),
+                    map(list, zip(*rows))))
     paths.insert(0, _write_table(
         cfg, "compare_report", {"bulk_margin_sites": margin}, cols))
     return paths
@@ -573,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="chain",
         description="Exact and WKB computations on free-fermion chains.",
     )
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="chain-out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -124,8 +124,8 @@ class Homogeneous:
     B: float = 0.0
 
     def __post_init__(self):
-        if self.J == 0:
-            raise ProfileError("homogeneous J must be nonzero")
+        if not self.J > 0:
+            raise ProfileError("homogeneous J must be positive")
 
 
 @dataclass(frozen=True)
@@ -438,8 +438,9 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
     In the expression form the chain length is N * lattice_spacing and the
     lattice arrays are produced by :func:`discretize`.  Only the lattice
     profile is returned in the array form (no continuum information).
-    Array entries and the lattice spacing are finite numbers, N an integer;
-    anything else raises ProfileError.
+    Array entries and the lattice spacing are finite numbers, N an integer,
+    and an expression J is nonnegative (not NaN) on the chain; anything
+    else raises ProfileError.
     """
     if not isinstance(source, dict):
         raise ProfileError("profile record must be a mapping")
@@ -471,6 +472,11 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
         lat = discretize(cont, N)
         if not np.all(np.isfinite(lat.hoppings)) or not np.all(np.isfinite(lat.fields)):
             raise ProfileError("expressions evaluate to non-finite values on the chain")
+        # The WKB formulas read the sign of J; band_bounds samples this grid.
+        grid = np.linspace(0.0, cont.length, _BAND_RESOLUTION + 1)
+        if not (np.all(lat.hoppings >= 0.0) and np.all(cont.J(grid) >= 0.0)):
+            raise ProfileError(f"hopping expression {exprs['J']!r} is negative or "
+                               "undefined on the chain")
         return lat, cont
     raise ProfileError("profile record needs either 'arrays' or 'expressions'")
 

@@ -116,10 +116,17 @@ def xi(c: ContinuumProfile, x, eps: float):
 
 
 def xi_star(c: ContinuumProfile, x, eps: float):
-    """xi clamped to [-1, 1]: -1 below the local band, +1 above it."""
-    val = xi(c, x, eps)
-    out = np.clip(val, -1.0, 1.0)
-    return out if np.ndim(out) else float(out)
+    """xi clamped to [-1, 1]: -1 below the local band, +1 above it.
+
+    Where J(x) = 0 it is the limit of the clamp, sign(eps - B(x)).
+    """
+    xa = np.asarray(x, dtype=float)
+    J = c.J(xa)
+    diff = eps - c.B(xa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(J == 0.0, np.sign(diff), diff / (2.0 * J))
+    out = np.clip(ratio, -1.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def _band_gap(c: ContinuumProfile, x, eps: float):
@@ -128,6 +135,19 @@ def _band_gap(c: ContinuumProfile, x, eps: float):
     xa = np.asarray(x, dtype=float)
     J = c.J(xa)
     return 4.0 * J * J - (eps - c.B(xa)) ** 2
+
+
+def _checked_gap(w, eps: float):
+    """Band-gap values ``w`` from the region scan, if all are below +inf.
+
+    -inf only means (eps - B)^2 overflowed, so the point lies outside the
+    band.  NaN (both squares overflowed, or J or B is undefined) leaves the
+    side of the band unknown, and +inf (4 J^2 overflowed) makes 1/v read 0;
+    both raise ValueError.
+    """
+    if not (np.asarray(w) < np.inf).all():
+        raise ValueError(f"band gap 4J^2 - (eps - B)^2 overflows or is NaN at eps={eps}")
+    return w
 
 
 def _turning_point(c: ContinuumProfile, eps: float, lo: float, hi: float) -> float:
@@ -147,11 +167,13 @@ def _scan_regions(c: ContinuumProfile, eps: float) -> Tuple[Region, ...]:
     Sign changes of 4J^2 - (eps-B)^2 on a uniform scan grid are refined by
     bracketed root finding; intervals narrower than TANGENCY_FRACTION * l
     are merged away, so the result alternates between partial and
-    non-partial intervals.
+    non-partial intervals.  A band gap that overflows to +inf or NaN on the
+    grid or at an interval midpoint raises ValueError.
     """
     ell = c.length
     xs = np.linspace(0.0, ell, _SCAN_RESOLUTION + 1)
-    w = _band_gap(c, xs, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _checked_gap(_band_gap(c, xs, eps), eps)
     inside = w > 0.0
 
     boundaries = [0.0]
@@ -165,15 +187,18 @@ def _scan_regions(c: ContinuumProfile, eps: float) -> Tuple[Region, ...]:
             boundaries.append(_turning_point(c, eps, lo, hi))
     boundaries.append(ell)
 
+    spans = [(lo, hi) for lo, hi in zip(boundaries[:-1], boundaries[1:]) if hi > lo]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid_gaps = _checked_gap([float(_band_gap(c, 0.5 * (lo + hi), eps))
+                                 for lo, hi in spans], eps)
+
     # A sub-tangency sliver joins the interval before it, as does a
     # neighbor of equal membership; every appended interval is wide and
     # differs from its predecessor.
     min_width = TANGENCY_FRACTION * ell
     merged = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi <= lo:
-            continue
-        is_inside = bool(_band_gap(c, 0.5 * (lo + hi), eps) > 0.0)
+    for (lo, hi), g in zip(spans, mid_gaps):
+        is_inside = g > 0.0
         if merged and (hi - lo < min_width or merged[-1][2] == is_inside):
             merged[-1][1] = hi
         else:
@@ -294,7 +319,7 @@ def _filled_integral(c: ContinuumProfile, xs: np.ndarray, eps: float) -> np.ndar
     """G(x) = integral of arccos(-xi*) from 0 to each sorted position x:
     pi per unit length on saturated stretches, nothing on depleted ones."""
     def f(t):
-        return float(np.arccos(-np.clip(xi(c, t, eps), -1.0, 1.0)))
+        return float(np.arccos(-xi_star(c, t, eps)))
 
     rule = {PARTIAL: f, SATURATED: math.pi, DEPLETED: 0.0}
     pieces = [(r.lower, r.upper, rule[r.kind], False, False)
@@ -385,21 +410,11 @@ def density_profile(
 
     Region classification: depleted where eps_F <= B - 2J (density exactly
     0), saturated where eps_F >= B + 2J (exactly 1), partial elsewhere.
-    Points with J(x) = 0 take the limit of the clamp: the sign of
-    eps_F - B(x) decides 0, 1 or 1/2.
+    Points with J(x) = 0 take the limit of the clamp, so the sign of
+    eps_F - B(x) gives exactly 0, 1 or 1/2.
     """
     x = _positions(c, grid)
-    J = c.J(x)
-    B = c.B(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(J != 0.0, (eps_F - B) / (2.0 * J), 0.0)
-    dens = 0.5 + np.arcsin(np.clip(ratio, -1.0, 1.0)) / np.pi
-    degenerate = J == 0.0
-    if np.any(degenerate):
-        diff = eps_F - B
-        dens = np.where(degenerate & (diff > 0), 1.0, dens)
-        dens = np.where(degenerate & (diff < 0), 0.0, dens)
-        dens = np.where(degenerate & (diff == 0), 0.5, dens)
+    dens = 0.5 + np.arcsin(xi_star(c, x, eps_F)) / np.pi
     return DensityProfile(x, dens, classified_regions(c, eps_F), float(eps_F))
 
 

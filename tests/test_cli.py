@@ -5,7 +5,7 @@ import pytest
 
 import fermichain
 from fermichain import cli, exact, numerics
-from fermichain.cli import compare_density, main, reproduce_catalog
+from fermichain.cli import main, reproduce_catalog
 from fermichain.profiles import Krawtchouk, make_builtin
 
 
@@ -82,13 +82,60 @@ def test_compare_task_reports_bulk_error(tmp_path):
         assert float(row[i]) < 0.05
 
 
-def test_compare_density_report_fields():
-    lat, cont = make_builtin(Krawtchouk(q=0.25), 200)
-    rep = compare_density(exact.diagonalize(lat), cont, 100)
-    assert rep.bulk_margin == 10
-    assert 0 <= rep.bulk_sup_error <= rep.sup_error
-    assert rep.mean_abs_error >= 0
-    assert rep.runtime > 0
+def test_compare_series_are_the_density_arrays(tmp_path):
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "krawtchouk", "parameters": {"q": 0.25}, "N": 200},
+        "fillings": [0.125, 0.5],
+    })
+    for task in ("density", "compare"):
+        assert main([task, "--config", cfgfile, "--out", str(tmp_path / task),
+                     "--deterministic"]) == 0
+    for M in (25, 100):
+        _, d_names, d_rows = _read_csv(tmp_path / "density" / f"density_M{M}.csv")
+        _, c_names, c_rows = _read_csv(tmp_path / "compare" / f"compare_series_M{M}.csv")
+        assert c_names == ["x", "density_exact", "density_wkb"]
+        assert [r[1:] for r in d_rows] == c_rows
+
+
+def test_compare_report_errors_are_those_of_its_series(tmp_path):
+    N = 200
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "krawtchouk", "parameters": {"q": 0.25}, "N": N},
+        "fillings": [0.125, 0.5, 0.875],
+    })
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfgfile, "--out", str(out)]) == 0
+    header, names, rows = _read_csv(out / "compare_report.csv")
+    margin = int(np.ceil(N / 20))
+    assert margin == 10 and f"# bulk_margin_sites: {margin}" in header
+    assert names == ["M", "filling", "sup_error", "mean_abs_error", "bulk_sup_error"]
+    assert [int(r[0]) for r in rows] == [25, 100, 175]
+    for row in rows:
+        series_header, _, series = _read_csv(out / f"compare_series_M{row[0]}.csv")
+        assert f"# bulk_margin_sites: {margin}" in series_header
+        values = np.array(series, dtype=float)
+        err = np.abs(values[:, 1] - values[:, 2])
+        assert float(row[1]) == int(row[0]) / N
+        assert float(row[2]) == err.max()
+        assert float(row[3]) == err.mean()
+        assert float(row[4]) == err[margin:N - margin].max()
+        assert 0 <= float(row[4]) <= float(row[2])
+
+
+def test_compare_deterministic_outputs_byte_identical(tmp_path):
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "rainbow", "parameters": {"h": 1.0}, "N": 200},
+        "fillings": [0.125, 0.4],
+    })
+    outs = tmp_path / "a", tmp_path / "b"
+    for out in outs:
+        assert main(["compare", "--config", cfgfile, "--out", str(out),
+                     "--deterministic"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["compare_report.csv", "compare_series_M25.csv",
+                     "compare_series_M80.csv"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_compare_diagonalizes_once(tmp_path, monkeypatch):
@@ -202,6 +249,17 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_overflowing_band_gap_is_numerical_error(tmp_path, capsys):
+    # 4J^2 overflows: every WKB result would read 1/v = 0.
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "homogeneous", "parameters": {"J": 1e200}, "N": 20},
+        "energy": 0.0,
+    })
+    assert main(["envelope", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+    assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("task, params", [
     ("density", {"fillings": [0.0]}),
     ("compare", {"fillings": [0.0]}),
@@ -283,11 +341,16 @@ def _expressions(J):
     ("spectrum", {"profile": _expressions("(" * 300 + "x" + ")" * 300)}),
     ("spectrum", {"profile": _expressions("-" * 300 + "x")}),
     ("spectrum", {"profile": _expressions("+".join(["x"] * 3000))}),
+    ("density", {"profile": {**_HOMOGENEOUS, "N": 200, "parameters": {"J": -1.0}},
+                 "M": [50]}),
+    ("density", {"profile": {"expressions": {"J": "1.5-x", "B": "0"}, "N": 200,
+                             "lattice_spacing": 0.01}, "M": [60]}),
 ], ids=["N-float", "N-string", "N-list", "spacing-string", "family-list",
         "parameter-bool", "J-string", "B-string", "J-list", "rescaled-string",
         "b-string", "array-entry-string", "profile-scalar", "path-scalar",
         "targets-scalar", "targets-nested-list", "expression-300-parentheses",
-        "expression-300-signs", "expression-3000-terms"])
+        "expression-300-signs", "expression-3000-terms", "J-negative",
+        "expression-J-negative"])
 def test_malformed_profile_or_targets_is_config_error(tmp_path, capsys, task, config):
     cfgfile = _write_config(tmp_path, config)
     assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1

@@ -382,6 +382,11 @@ _ARRAYS = {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}
     {**_ARRAYS, "arrays": {"J": 1.0, "B": [0.0, 0.0, 0.0]}},
     {**_ARRAYS, "N": 3.0},
     {**_ARRAYS, "lattice_spacing": -1.0},
+    {**_HOMOGENEOUS, "parameters": {"J": -1.0}},
+    {"expressions": {"J": "1.5-x", "B": "0"}, "N": 200, "lattice_spacing": 0.01},
+    # Negative, or undefined, only past the last bond, on band_bounds' grid.
+    {"expressions": {"J": "1.995-x", "B": "0"}, "N": 200, "lattice_spacing": 0.01},
+    {"expressions": {"J": "sqrt(1.995-x)", "B": "0"}, "N": 200, "lattice_spacing": 0.01},
 ])
 def test_malformed_records_raise_profile_error(record):
     with pytest.raises(ProfileError):
@@ -396,6 +401,10 @@ def test_well_formed_records_keep_their_values():
     assert cont.params["rescaled"] is False
     lat, _ = from_config({**_ARRAYS, "N": 3, "arrays": {"J": [1, 2], "B": [0, 0, 1]}})
     assert np.array_equal(lat.fields, [0.0, 0.0, 1.0])
+    # A hopping expression may vanish, as Krawtchouk's does at the chain ends.
+    lat, _ = from_config({"expressions": {"J": "x*(2-x)", "B": "0"}, "N": 200,
+                          "lattice_spacing": 0.01})
+    assert lat.hoppings[0] == 0.0
 
 
 def test_package_never_evaluates_code():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def test_xi_star_clamps(homogeneous):
     assert xi_star(cont, 5.0, -77.0) == -1.0
     assert xi_star(cont, 5.0, 0.0) == 0.0
     assert xi_star(cont, 5.0, 77.0) == 1.0
+
+
+def test_xi_star_at_vanishing_hopping_is_the_sign(krawtchouk):
+    # J(0) = J(l) = 0: the limit of the clamp, sign(eps - B), with no warning.
+    _, cont = krawtchouk
+    ell = cont.length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, ell):
+            B = float(cont.B(np.array(x)))
+            for eps in (B - 0.1, B, B + 0.1):
+                assert xi_star(cont, x, eps) == np.sign(eps - B)
+        both = xi_star(cont, np.array([0.0, 200.0, ell]), 0.5)
+    assert np.array_equal(both, [1.0, xi(cont, 200.0, 0.5), -1.0])
 
 
 # --- wells -------------------------------------------------------------------
@@ -441,6 +456,22 @@ def test_infinite_energy_is_empty_or_full_chain(homogeneous):
     assert filling_fraction(cont, math.inf) == 1.0
 
 
+def test_overflowing_band_gap_raises():
+    # 4J^2 overflows at eps = 0 (1/v would read 0); both squares overflow
+    # at eps = J (the side of the band is unknown).
+    _, cont = make_builtin(Homogeneous(1e200), 40)
+    for eps in (0.0, 1e200):
+        for call in (wells, filling_fraction):
+            with pytest.raises(ValueError, match="overflows"):
+                call(cont, eps)
+    # Only (eps - B)^2 overflows: certainly outside the band.
+    _, unit = make_builtin(Homogeneous(1.0), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert filling_fraction(unit, 1e308) == 1.0
+        assert wells(unit, -1e308).is_empty
+
+
 def test_filling_monotone(asym_cosine):
     _, cont = asym_cosine
     es = np.linspace(-3.4, 8.4, 25)
@@ -550,6 +581,18 @@ def test_density_monotone_in_fermi_energy(asym_cosine):
         cur = density_profile(cont, float(e), x).density
         assert np.all(cur >= prev - 1e-12)
         prev = cur
+
+
+@pytest.mark.parametrize("chain", ["homogeneous", "krawtchouk", "rainbow", "cosine",
+                                   "asym_cosine"])
+def test_density_is_arcsin_of_xi_star_bitwise(request, chain):
+    _, cont = request.getfixturevalue(chain)
+    x = np.linspace(0.0, cont.length, 1001)
+    lo, hi = wkb.band_bounds(cont)
+    for frac in (-0.1, 0.1, 0.35, 0.6, 0.85, 1.1):
+        eps = lo + frac * (hi - lo)
+        dens = density_profile(cont, eps, x).density
+        assert np.array_equal(dens, 0.5 + np.arcsin(xi_star(cont, x, eps)) / np.pi)
 
 
 def test_density_at_vanishing_hopping(krawtchouk):

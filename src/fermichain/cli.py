@@ -120,11 +120,13 @@ def _profile_pair(cfg: RunConfig):
     return profiles.from_config(record)
 
 
-def _need_continuum(cont, task: str):
+def _continuum_pair(cfg: RunConfig):
+    """The profile pair of a task that needs the continuum profile."""
+    lat, cont = _profile_pair(cfg)
     if cont is None:
-        raise ConfigError(f"task {task!r} needs a continuum profile "
+        raise ConfigError(f"task {cfg.task!r} needs a continuum profile "
                           "(builtin family or expression record)")
-    return cont
+    return lat, cont
 
 
 def _list_of(params: dict, key: str, check, what: str) -> list:
@@ -134,34 +136,30 @@ def _list_of(params: dict, key: str, check, what: str) -> list:
     return values
 
 
-def _mode_index(params: dict, N: int) -> Optional[int]:
-    """The validated ``mode_index`` parameter, or None when it is absent."""
-    if "mode_index" not in params:
-        return None
-    k = params["mode_index"]
-    if not _is_int(k):
-        raise ConfigError(f"mode_index must be an integer, got {k!r}")
-    if not 0 <= k < N:
-        raise ConfigError(f"mode_index {k} outside [0, {N})")
-    return k
+def _energy_and_modes(cfg: RunConfig, lat, need_modes: bool = False):
+    """(energy, mode index or None, spectrum or None) of a task that takes
+    exactly one of ``energy`` and ``mode_index``.
 
-
-def _resolve_energy(cfg: RunConfig, lat, spectrum=None) -> float:
-    """The task energy: ``energy`` if given, else that of mode ``mode_index``.
-
-    ``spectrum`` is the runner's own diagonalization, reused when given.
+    The chain is diagonalized once, when a mode index is given or
+    ``need_modes`` is set; the mode's energy comes from that spectrum.
     """
-    k = _mode_index(cfg.params, lat.num_sites)
-    if "energy" in cfg.params:
-        e = cfg.params["energy"]
+    params = cfg.params
+    if ("energy" in params) == ("mode_index" in params):
+        raise ConfigError("task needs 'energy' or 'mode_index', not both")
+    if "energy" in params:
+        k, e = None, params["energy"]
         if not _is_real(e):
             raise ConfigError(f"energy must be a finite number, got {e!r}")
-        return float(e)
+    else:
+        k = params["mode_index"]
+        if not _is_int(k):
+            raise ConfigError(f"mode_index must be an integer, got {k!r}")
+        if not 0 <= k < lat.num_sites:
+            raise ConfigError(f"mode_index {k} outside [0, {lat.num_sites})")
+    spectrum = exact.diagonalize(lat) if k is not None or need_modes else None
     if k is not None:
-        if spectrum is None:
-            spectrum = exact.diagonalize(lat)
-        return float(spectrum.energies[k])
-    raise ConfigError("task needs 'energy' or 'mode_index'")
+        e = spectrum.energies[k]
+    return float(e), k, spectrum
 
 
 def run_spectrum(cfg: RunConfig) -> List[Path]:
@@ -190,8 +188,7 @@ def _fillings_to_M(params: dict, N: int) -> List[int]:
 def _filled_densities(cfg: RunConfig):
     """(lattice, M, eps_F, exact a*rho, WKB density profile) for each filling
     of the config, all from one eigensolve."""
-    lat, cont = _profile_pair(cfg)
-    cont = _need_continuum(cont, cfg.task)
+    lat, cont = _continuum_pair(cfg)
     Ms = _fillings_to_M(cfg.params, lat.num_sites)
     spectrum = exact.diagonalize(lat)
     for M in Ms:
@@ -217,8 +214,7 @@ def run_density(cfg: RunConfig) -> List[Path]:
 
 
 def run_filling_curve(cfg: RunConfig, stem: str = "filling_curve") -> List[Path]:
-    lat, cont = _profile_pair(cfg)
-    cont = _need_continuum(cont, cfg.task)
+    lat, cont = _continuum_pair(cfg)
     params = cfg.params
     if "energies" in params:
         es = np.asarray(_list_of(params, "energies", _is_real, "finite numbers"),
@@ -244,9 +240,8 @@ def run_filling_curve(cfg: RunConfig, stem: str = "filling_curve") -> List[Path]
 
 
 def run_wells(cfg: RunConfig) -> List[Path]:
-    lat, cont = _profile_pair(cfg)
-    cont = _need_continuum(cont, cfg.task)
-    e = _resolve_energy(cfg, lat)
+    lat, cont = _continuum_pair(cfg)
+    e, _, _ = _energy_and_modes(cfg, lat)
     wd = wkb.wells(cont, e)
     freqs = wkb.well_frequencies(wd) if not wd.is_empty else []
     return [_write_table(
@@ -262,16 +257,13 @@ def run_wells(cfg: RunConfig) -> List[Path]:
 
 
 def run_envelope(cfg: RunConfig, stem: str = "envelope") -> List[Path]:
-    lat, cont = _profile_pair(cfg)
-    cont = _need_continuum(cont, cfg.task)
-    k = _mode_index(cfg.params, lat.num_sites)
-    spectrum = None if k is None else exact.diagonalize(lat)
-    e = _resolve_energy(cfg, lat, spectrum)
+    lat, cont = _continuum_pair(cfg)
+    e, k, spectrum = _energy_and_modes(cfg, lat)
     wd = wkb.wells(cont, e)
     grid = lat.mode_positions  # eigenvector component n sits at (n+1) a
     x, env = wkb.envelope(cont, e, wd, grid)
     cols = {"x": list(x), "envelope_plus": list(env), "envelope_minus": list(-env)}
-    if spectrum is not None:
+    if k is not None:
         keep = np.isin(grid, x)
         a = lat.lattice_spacing
         cols["mode_exact"] = list(spectrum.modes[keep, k] / np.sqrt(a))
@@ -279,8 +271,7 @@ def run_envelope(cfg: RunConfig, stem: str = "envelope") -> List[Path]:
 
 
 def run_frequencies(cfg: RunConfig) -> List[Path]:
-    lat, cont = _profile_pair(cfg)
-    cont = _need_continuum(cont, cfg.task)
+    lat, cont = _continuum_pair(cfg)
     band = cfg.params.get("mode_band")
     if band is not None:
         if not (isinstance(band, list) and len(band) == 2
@@ -288,8 +279,7 @@ def run_frequencies(cfg: RunConfig) -> List[Path]:
             raise ConfigError(f"mode_band must be two integers [lo, hi), got {band!r}")
         if not 0 <= band[0] <= band[1] <= lat.num_sites:
             raise ConfigError(f"mode_band {band} outside [0, {lat.num_sites}]")
-    spectrum = None if band is None else exact.diagonalize(lat)
-    e = _resolve_energy(cfg, lat, spectrum)
+    e, _, spectrum = _energy_and_modes(cfg, lat, need_modes=band is not None)
     wd = wkb.wells(cont, e)
     freqs = wkb.well_frequencies(wd)
     paths = [_write_table(
@@ -317,10 +307,13 @@ def run_frequencies(cfg: RunConfig) -> List[Path]:
 def run_compare(cfg: RunConfig) -> List[Path]:
     """The density task's arrays per filling, plus a report of their sup,
     mean and bulk-sup errors; the bulk leaves out ceil(N/20) sites at
-    either end."""
+    either end, so it needs N >= 3."""
     rows, paths = [], []
     for lat, M, _, rho, prof in _filled_densities(cfg):
         N = lat.num_sites
+        if N < 3:
+            raise ConfigError(f"compare needs N >= 3 for a bulk between its "
+                              f"ceil(N/20)-site margins, got N = {N}")
         margin = int(np.ceil(N / 20))
         err = np.abs(rho - prof.density)
         rows.append((M, M / N, float(err.max()), float(err.mean()),

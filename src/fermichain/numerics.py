@@ -92,11 +92,6 @@ def eigensolve_tridiagonal(
     returned array is strictly increasing in that case; zero hoppings
     decouple the matrix and may produce repeated eigenvalues.
     """
-    if m.size == 1:
-        w = np.array([m.diag[0]])
-        if want_vectors:
-            return w, np.array([[1.0]])
-        return w, None
     if want_vectors:
         w, v = eigh_tridiagonal(m.diag, m.offdiag)
         return w, v

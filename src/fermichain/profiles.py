@@ -291,8 +291,7 @@ _BAND_RESOLUTION = 1 << 14
 def band_bounds(c: ContinuumProfile) -> Tuple[float, float]:
     """min(B - 2J) and max(B + 2J) over [0, l], refined near the extremes."""
     xs = np.linspace(0.0, c.length, _BAND_RESOLUTION + 1)
-    lower = c.B(xs) - 2 * c.J(xs)
-    upper = c.B(xs) + 2 * c.J(xs)
+    B, J = c.B(xs), c.J(xs)
 
     def refine(fn, i, minimize):
         lo = xs[max(i - 1, 0)]
@@ -301,8 +300,8 @@ def band_bounds(c: ContinuumProfile) -> Tuple[float, float]:
         v = fn(grid)
         return float(np.min(v)) if minimize else float(np.max(v))
 
-    i_min = int(np.argmin(lower))
-    i_max = int(np.argmax(upper))
+    i_min = int(np.argmin(B - 2 * J))
+    i_max = int(np.argmax(B + 2 * J))
     emin = refine(lambda x: c.B(x) - 2 * c.J(x), i_min, True)
     emax = refine(lambda x: c.B(x) + 2 * c.J(x), i_max, False)
     return emin, emax
@@ -439,8 +438,8 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
     lattice arrays are produced by :func:`discretize`.  Only the lattice
     profile is returned in the array form (no continuum information).
     Array entries and the lattice spacing are finite numbers, N an integer,
-    and an expression J is nonnegative (not NaN) on the chain; anything
-    else raises ProfileError.
+    an expression J is finite and nonnegative and an expression B finite on
+    the sites and on band_bounds' grid; anything else raises ProfileError.
     """
     if not isinstance(source, dict):
         raise ProfileError("profile record must be a mapping")
@@ -469,14 +468,17 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
             length=N * a, lattice_spacing=a, family="custom",
             params={"J": exprs["J"], "B": exprs["B"]},
         )
-        lat = discretize(cont, N)
-        if not np.all(np.isfinite(lat.hoppings)) or not np.all(np.isfinite(lat.fields)):
-            raise ProfileError("expressions evaluate to non-finite values on the chain")
         # The WKB formulas read the sign of J; band_bounds samples this grid.
+        # Values that are undefined there raise ProfileError, not warnings.
         grid = np.linspace(0.0, cont.length, _BAND_RESOLUTION + 1)
-        if not (np.all(lat.hoppings >= 0.0) and np.all(cont.J(grid) >= 0.0)):
+        with np.errstate(all="ignore"):
+            lat = discretize(cont, N)
+            J, B = cont.J(grid), cont.B(grid)
+        if not (np.all(lat.hoppings >= 0.0) and np.all(np.isfinite(J) & (J >= 0.0))):
             raise ProfileError(f"hopping expression {exprs['J']!r} is negative or "
                                "undefined on the chain")
+        if not np.all(np.isfinite(B)):
+            raise ProfileError(f"field expression {exprs['B']!r} is undefined on the chain")
         return lat, cont
     raise ProfileError("profile record needs either 'arrays' or 'expressions'")
 

@@ -308,10 +308,14 @@ def wells(c: ContinuumProfile, eps: float) -> WellDecomposition:
     """Well decomposition at energy ``eps`` with per-well normalizations.
 
     An energy outside the spectrum yields an empty decomposition rather
-    than an error.
+    than an error.  A well whose A_i^-2 is not positive and finite (J
+    underflowing to 0 across it) raises ValueError: it has no normalization.
     """
     ws = _wells_of(classified_regions(c, eps), c.length)
     inv = np.array([_well_inv_norm(c, eps, w) for w in ws])
+    if not np.all(np.isfinite(inv) & (inv > 0.0)):
+        raise ValueError(f"well weights A_i^-2 = {inv} at eps={eps} are not "
+                         "all positive and finite")
     return WellDecomposition(float(eps), ws, inv)
 
 

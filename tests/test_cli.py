@@ -260,6 +260,29 @@ def test_overflowing_band_gap_is_numerical_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("task", ["wells", "frequencies", "envelope"])
+def test_well_without_weight_is_numerical_error(tmp_path, capsys, task):
+    # J underflows to 0 everywhere but at l/2: the one well has A^-2 = 0.
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "rainbow", "parameters": {"h": 1e308}, "N": 40},
+        "energy": 0.0,
+    })
+    assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+    assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    cfgfile = _write_config(tmp_path, {
+        "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
+                    "N": 6},
+    })
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["spectrum", "--config", cfgfile, "--out", str(taken)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task, params", [
     ("density", {"fillings": [0.0]}),
     ("compare", {"fillings": [0.0]}),
@@ -270,6 +293,9 @@ def test_overflowing_band_gap_is_numerical_error(tmp_path, capsys):
     ("frequencies", {"mode_index": 400}),
     ("envelope", {"mode_index": -1}),
     ("envelope", {"energy": 0.0, "mode_index": 40}),
+    ("envelope", {"energy": 0.5, "mode_index": 5}),
+    ("wells", {"energy": 0.5, "mode_index": 5}),
+    ("frequencies", {"energy": 0.5, "mode_index": 5}),
     ("frequencies", {"mode_index": 20, "mode_band": [10, 41]}),
     ("density", {"fillings": ["a"]}),
     ("density", {"fillings": 0.5}),
@@ -293,6 +319,8 @@ def test_overflowing_band_gap_is_numerical_error(tmp_path, capsys):
 ], ids=["density-empty", "compare-empty", "density-overfull", "density-M-above-N",
         "wells-mode-above-N", "envelope-mode-above-N", "frequencies-mode-above-N",
         "envelope-negative-mode", "envelope-energy-and-bad-mode",
+        "envelope-energy-and-mode", "wells-energy-and-mode",
+        "frequencies-energy-and-mode",
         "frequencies-band-above-N", "density-filling-string",
         "density-fillings-not-list", "density-filling-nan", "compare-filling-inf",
         "density-M-float", "density-M-bool", "envelope-mode-null",
@@ -345,12 +373,15 @@ def _expressions(J):
                  "M": [50]}),
     ("density", {"profile": {"expressions": {"J": "1.5-x", "B": "0"}, "N": 200,
                              "lattice_spacing": 0.01}, "M": [60]}),
+    ("density", {"profile": {"expressions": {"J": "1", "B": "sqrt(1.995-x)"}, "N": 200,
+                             "lattice_spacing": 0.01}, "M": [60]}),
+    ("compare", {"profile": {**_HOMOGENEOUS, "N": 2}, "M": [1]}),
 ], ids=["N-float", "N-string", "N-list", "spacing-string", "family-list",
         "parameter-bool", "J-string", "B-string", "J-list", "rescaled-string",
         "b-string", "array-entry-string", "profile-scalar", "path-scalar",
         "targets-scalar", "targets-nested-list", "expression-300-parentheses",
         "expression-300-signs", "expression-3000-terms", "J-negative",
-        "expression-J-negative"])
+        "expression-J-negative", "expression-B-undefined", "compare-without-bulk"])
 def test_malformed_profile_or_targets_is_config_error(tmp_path, capsys, task, config):
     cfgfile = _write_config(tmp_path, config)
     assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1

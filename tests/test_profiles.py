@@ -1,6 +1,7 @@
 import ast
 import math
 import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,10 +388,15 @@ _ARRAYS = {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}
     # Negative, or undefined, only past the last bond, on band_bounds' grid.
     {"expressions": {"J": "1.995-x", "B": "0"}, "N": 200, "lattice_spacing": 0.01},
     {"expressions": {"J": "sqrt(1.995-x)", "B": "0"}, "N": 200, "lattice_spacing": 0.01},
+    {"expressions": {"J": "1", "B": "sqrt(1.995-x)"}, "N": 200, "lattice_spacing": 0.01},
+    {"expressions": {"J": "1", "B": "1/x"}, "N": 20},
 ])
 def test_malformed_records_raise_profile_error(record):
-    with pytest.raises(ProfileError):
-        from_config(record)
+    # The error is the whole report: no numpy RuntimeWarning reaches stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProfileError):
+            from_config(record)
 
 
 def test_well_formed_records_keep_their_values():

@@ -472,6 +472,13 @@ def test_overflowing_band_gap_raises():
         assert wells(unit, -1e308).is_empty
 
 
+def test_well_without_weight_raises():
+    # J underflows to 0 everywhere but at l/2, so the one well has A^-2 = 0.
+    _, cont = make_builtin(Rainbow(1e308), 40)
+    with pytest.raises(ValueError, match="positive and finite"):
+        wells(cont, 0.0)
+
+
 def test_filling_monotone(asym_cosine):
     _, cont = asym_cosine
     es = np.linspace(-3.4, 8.4, 25)

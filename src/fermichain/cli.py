@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, analytic, exact, numerics, profiles, wkb
 from .numerics import NumericsError
-from .profiles import _is_int, _is_real
+from .profiles import _is_int, _is_real, _keys
 
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
@@ -113,7 +113,8 @@ def _read_json(path: Path, what: str):
 
 def _profile_pair(cfg: RunConfig):
     record = cfg.profile
-    if "path" in record:
+    if isinstance(record, dict) and "path" in record:
+        _keys(record, "profile path record", ("path",))
         if not isinstance(record["path"], str):
             raise ConfigError(f"profile path must be a string, got {record['path']!r}")
         record = _read_json(Path(record["path"]), "profile")
@@ -131,8 +132,8 @@ def _continuum_pair(cfg: RunConfig):
 
 def _list_of(params: dict, key: str, check, what: str) -> list:
     values = params[key]
-    if not isinstance(values, list) or not all(check(v) for v in values):
-        raise ConfigError(f"{key!r} must be a list of {what}, got {values!r}")
+    if not (isinstance(values, list) and values and all(check(v) for v in values)):
+        raise ConfigError(f"{key!r} must be a nonempty list of {what}, got {values!r}")
     return values
 
 
@@ -177,8 +178,6 @@ def _fillings_to_M(params: dict, N: int) -> List[int]:
         out = _list_of(params, "M", _is_int, "integers")
     else:
         raise ConfigError("density/compare tasks need 'fillings' or 'M'")
-    if not out:
-        raise ConfigError("empty fillings list")
     bad = [M for M in out if not 1 <= M <= N]
     if bad:
         raise ConfigError(f"particle numbers {bad} outside [1, {N}]")
@@ -223,7 +222,7 @@ def run_filling_curve(cfg: RunConfig, stem: str = "filling_curve") -> List[Path]
         grid = params.get("energy_grid", {})
         bad = ConfigError("energy_grid must be {min, max, count} with finite min "
                           f"and max and an integer count >= 1, got {grid!r}")
-        if not isinstance(grid, dict):
+        if not (isinstance(grid, dict) and set(grid) <= {"min", "max", "count"}):
             raise bad
         lo, hi = profiles.gerschgorin_bounds(lat)
         lo, hi, count = grid.get("min", lo), grid.get("max", hi), grid.get("count", 101)
@@ -467,8 +466,10 @@ def run_reproduce(cfg: RunConfig) -> List[Path]:
     wanted = cfg.params.get("targets", cfg.params.get("figure", "all"))
     if isinstance(wanted, str):
         wanted = [wanted]
-    if not (isinstance(wanted, list) and all(isinstance(n, str) for n in wanted)):
-        raise ConfigError(f"targets must be a name or a list of names, got {wanted!r}")
+    if not (isinstance(wanted, list) and wanted
+            and all(isinstance(n, str) for n in wanted)):
+        raise ConfigError(f"targets must be a name or a nonempty list of names, "
+                          f"got {wanted!r}")
     if wanted == ["all"]:
         names = reproduce_catalog()
     else:
@@ -490,6 +491,19 @@ RUNNERS = {
     "reproduce": run_reproduce,
 }
 
+# Each task's parameters, in groups of alternatives: a config gives at most
+# one key of a group, and no key outside the task's groups.
+_TASK_PARAMETERS = {
+    "spectrum": (),
+    "density": (("fillings", "M"),),
+    "filling-curve": (("energies", "energy_grid"),),
+    "wells": (("energy", "mode_index"),),
+    "envelope": (("energy", "mode_index"),),
+    "frequencies": (("energy", "mode_index"), ("mode_band",)),
+    "compare": (("fillings", "M"),),
+    "reproduce": (("targets", "figure"),),
+}
+
 
 def run(cfg: RunConfig) -> List[Path]:
     """Execute a task; returns the written output paths."""
@@ -498,15 +512,16 @@ def run(cfg: RunConfig) -> List[Path]:
 
 def _load_config(task: str, args) -> RunConfig:
     raw = _read_json(Path(args.config), "config")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    groups = _TASK_PARAMETERS[task]
+    _keys(raw, f"{task} config", () if task == "reproduce" else ("profile",),
+          ("task", *(key for group in groups for key in group)))
+    for group in groups:
+        given = [key for key in group if key in raw]
+        if len(given) > 1:
+            raise ConfigError(f"{task} config takes one of {given}, not several")
     if "task" in raw and raw["task"] != task:
         raise ConfigError(f"config declares task {raw['task']!r} "
                           f"but {task!r} was requested")
-    if task != "reproduce" and "profile" not in raw:
-        raise ConfigError("config needs a 'profile' block")
-    if not isinstance(raw.get("profile", {}), dict):
-        raise ConfigError(f"'profile' must be a JSON object, got {raw['profile']!r}")
     params = {k: v for k, v in raw.items() if k not in ("profile", "task")}
     return RunConfig(
         task=task,
@@ -536,8 +551,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, profiles.ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, wkb.UnsupportedRegimeError, wkb.SingularProfileError,
-            exact.ExactError, ValueError) as exc:
+    except (NumericsError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -25,7 +25,7 @@ import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -111,10 +111,6 @@ class ContinuumProfile:
         if not self.lattice_spacing > 0:
             raise ProfileError("lattice_spacing must be positive")
 
-    @property
-    def num_sites(self) -> int:
-        return int(round(self.length / self.lattice_spacing))
-
 
 # --- builtin families --------------------------------------------------
 
@@ -174,6 +170,15 @@ class AsymmetricCosine:
 
 FamilyParameters = Union[Homogeneous, Krawtchouk, Rainbow, Cosine, AsymmetricCosine]
 
+_FAMILY_BY_NAME = {
+    "homogeneous": Homogeneous,
+    "krawtchouk": Krawtchouk,
+    "rainbow": Rainbow,
+    "cosine": Cosine,
+    "asymmetric_cosine": AsymmetricCosine,
+}
+
+
 def make_builtin(
     family: FamilyParameters, N: int, lattice_spacing: float = 1.0
 ) -> Tuple[LatticeProfile, ContinuumProfile]:
@@ -188,15 +193,10 @@ def make_builtin(
     n_s = np.arange(N)      # site index
 
     if isinstance(family, Homogeneous):
-        J = np.full(N - 1, float(family.J))
-        B = np.full(N, float(family.B))
         Jv, Bv = float(family.J), float(family.B)
-        cont = ContinuumProfile(
-            J=lambda x: np.full_like(np.asarray(x, dtype=float), Jv),
-            B=lambda x: np.full_like(np.asarray(x, dtype=float), Bv),
-            length=ell, lattice_spacing=a, family="homogeneous",
-            params={"J": Jv, "B": Bv},
-        )
+        J, B = np.full(N - 1, Jv), np.full(N, Bv)
+        J_x = lambda x: np.full_like(np.asarray(x, dtype=float), Jv)
+        B_x = lambda x: np.full_like(np.asarray(x, dtype=float), Bv)
     elif isinstance(family, Krawtchouk):
         q = family.q
         J = np.sqrt(q * (1 - q) * (n_b + 1.0) * (N - n_b - 1.0))
@@ -207,14 +207,9 @@ def make_builtin(
         # Continuum limit of the rescaled arrays; without the rescale the
         # functions carry an explicit factor N.
         amp = 1.0 if family.rescaled else float(N)
-        cont = ContinuumProfile(
-            J=lambda x, q=q, amp=amp, ell=ell: amp * np.sqrt(
-                np.maximum(q * (1 - q) * (x / ell) * (1 - x / ell), 0.0)
-            ),
-            B=lambda x, q=q, amp=amp, ell=ell: amp * (q + (1 - 2 * q) * (x / ell)),
-            length=ell, lattice_spacing=a, family="krawtchouk",
-            params={"q": q, "rescaled": family.rescaled},
-        )
+        J_x = lambda x: amp * np.sqrt(
+            np.maximum(q * (1 - q) * (x / ell) * (1 - x / ell), 0.0))
+        B_x = lambda x: amp * (q + (1 - 2 * q) * (x / ell))
     elif isinstance(family, Rainbow):
         if N % 2:
             raise ProfileError("rainbow requires an even number of sites")
@@ -225,35 +220,26 @@ def make_builtin(
         # identical float.
         J = 0.5 * np.exp(-h * (np.abs(n_b + 1 - N // 2) / N))
         B = np.zeros(N)
-        cont = ContinuumProfile(
-            J=lambda x, h=h, ell=ell: 0.5 * np.exp(-h * np.abs(0.5 - x / ell)),
-            B=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            length=ell, lattice_spacing=a, family="rainbow",
-            params={"h": h},
-        )
+        J_x = lambda x: 0.5 * np.exp(-h * np.abs(0.5 - x / ell))
+        B_x = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     elif isinstance(family, Cosine):
         J0 = family.J0
         J = 1.0 + J0 * np.cos(2 * np.pi * n_b / N)
         B = np.zeros(N)
-        cont = ContinuumProfile(
-            J=lambda x, J0=J0, ell=ell: 1.0 + J0 * np.cos(2 * np.pi * x / ell),
-            B=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            length=ell, lattice_spacing=a, family="cosine",
-            params={"J0": J0},
-        )
+        J_x = lambda x: 1.0 + J0 * np.cos(2 * np.pi * x / ell)
+        B_x = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     elif isinstance(family, AsymmetricCosine):
         J0, b, r = family.J0, family.b, family.r
         J = 1.0 + J0 * np.cos(2 * np.pi * r * n_b / N)
         B = b * (n_s / N) ** 2
-        cont = ContinuumProfile(
-            J=lambda x, J0=J0, r=r, ell=ell: 1.0 + J0 * np.cos(2 * np.pi * r * x / ell),
-            B=lambda x, b=b, ell=ell: b * (x / ell) ** 2,
-            length=ell, lattice_spacing=a, family="asymmetric_cosine",
-            params={"J0": J0, "b": b, "r": r},
-        )
+        J_x = lambda x: 1.0 + J0 * np.cos(2 * np.pi * r * x / ell)
+        B_x = lambda x: b * (x / ell) ** 2
     else:
         raise ProfileError(f"unknown family parameters: {family!r}")
 
+    name = next(n for n, cls in _FAMILY_BY_NAME.items() if isinstance(family, cls))
+    cont = ContinuumProfile(J=J_x, B=B_x, length=ell, lattice_spacing=a,
+                            family=name, params=asdict(family))
     return LatticeProfile(J, B, lattice_spacing=a), cont
 
 
@@ -402,6 +388,20 @@ def _is_real(v) -> bool:
         return False
 
 
+def _keys(record, what: str, required=(), optional=()) -> None:
+    """Raise ProfileError unless ``record`` is a mapping that has every key
+    of ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(record, dict):
+        raise ProfileError(f"{what} must be a mapping")
+    missing = [k for k in required if k not in record]
+    if missing:
+        raise ProfileError(f"{what} needs {', '.join(map(repr, missing))}")
+    unknown = [k for k in record if k not in required and k not in optional]
+    if unknown:
+        raise ProfileError(f"{what} takes no {', '.join(map(repr, unknown))}; its keys "
+                           f"are {', '.join(map(repr, (*required, *optional)))}")
+
+
 def _site_count(record: dict) -> int:
     """The record's 'N', an integer >= 2."""
     N = record["N"]
@@ -434,34 +434,34 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
     * expressions:      {"expressions": {"J": "exp(x)", "B": "2*exp(x)"},
                          "N": 100, "lattice_spacing": 0.01}
 
-    In the expression form the chain length is N * lattice_spacing and the
-    lattice arrays are produced by :func:`discretize`.  Only the lattice
-    profile is returned in the array form (no continuum information).
+    A record has the keys of exactly one form.  'lattice_spacing' is
+    optional (default 1), and so is 'N' in the array form, where it must
+    equal the length of B.  In the expression form the chain length is
+    N * lattice_spacing and the lattice arrays are produced by
+    :func:`discretize`.  Only the lattice profile is returned in the array
+    form (no continuum information).
     Array entries and the lattice spacing are finite numbers, N an integer,
     an expression J is finite and nonnegative and an expression B finite on
     the sites and on band_bounds' grid; anything else raises ProfileError.
     """
     if not isinstance(source, dict):
         raise ProfileError("profile record must be a mapping")
-    a = _spacing(source)
     if "arrays" in source:
+        _keys(source, "array record", ("arrays",), ("N", "lattice_spacing"))
         arrays = source["arrays"]
-        if not isinstance(arrays, dict) or "J" not in arrays or "B" not in arrays:
-            raise ProfileError("array record needs 'J' and 'B' entries")
+        _keys(arrays, "'arrays'", ("J", "B"))
         lat = LatticeProfile(_real_array(arrays["J"], "J"), _real_array(arrays["B"], "B"),
-                             lattice_spacing=a)
+                             lattice_spacing=_spacing(source))
         if "N" in source and not (_is_int(source["N"]) and source["N"] == lat.num_sites):
             raise ProfileError(
                 f"declared N={source['N']!r} does not match array length {lat.num_sites}"
             )
         return lat, None
     if "expressions" in source:
+        _keys(source, "expression record", ("expressions", "N"), ("lattice_spacing",))
         exprs = source["expressions"]
-        if not isinstance(exprs, dict) or "J" not in exprs or "B" not in exprs:
-            raise ProfileError("expression record needs 'J' and 'B' entries")
-        if "N" not in source:
-            raise ProfileError("expression record needs 'N'")
-        N = _site_count(source)
+        _keys(exprs, "'expressions'", ("J", "B"))
+        N, a = _site_count(source), _spacing(source)
         cont = ContinuumProfile(
             J=compile_expression(exprs["J"]),
             B=compile_expression(exprs["B"]),
@@ -483,15 +483,6 @@ def load_custom(source: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile
     raise ProfileError("profile record needs either 'arrays' or 'expressions'")
 
 
-_FAMILY_BY_NAME = {
-    "homogeneous": Homogeneous,
-    "krawtchouk": Krawtchouk,
-    "rainbow": Rainbow,
-    "cosine": Cosine,
-    "asymmetric_cosine": AsymmetricCosine,
-}
-
-
 def _check_parameter(name: str, key: str, value) -> None:
     """Family parameters are finite numbers, except the flag 'rescaled' and
     the integer 'r'."""
@@ -507,23 +498,19 @@ def _check_parameter(name: str, key: str, value) -> None:
 
 
 def from_config(record: dict) -> Tuple[LatticeProfile, Optional[ContinuumProfile]]:
-    """Profile from a config record: builtin family or custom description."""
-    if not isinstance(record, dict):
-        raise ProfileError("profile config must be a mapping")
-    if "family" in record:
+    """Profile from a config record: {family, N[, parameters, lattice_spacing]},
+    or any record of :func:`load_custom`."""
+    if isinstance(record, dict) and "family" in record:
+        _keys(record, "family record", ("family", "N"), ("parameters", "lattice_spacing"))
         name = record["family"]
         if not isinstance(name, str) or name not in _FAMILY_BY_NAME:
             raise ProfileError(f"unknown family {name!r}")
+        cls = _FAMILY_BY_NAME[name]
         params = record.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ProfileError("'parameters' must be a mapping")
+        _keys(params, f"parameters of family {name!r}",
+              [f.name for f in fields(cls) if f.default is MISSING],
+              [f.name for f in fields(cls) if f.default is not MISSING])
         for key, value in params.items():
             _check_parameter(name, key, value)
-        try:
-            family = _FAMILY_BY_NAME[name](**params)
-        except TypeError as exc:
-            raise ProfileError(f"bad parameters for family {name!r}: {exc}") from exc
-        if "N" not in record:
-            raise ProfileError("family record needs 'N'")
-        return make_builtin(family, _site_count(record), _spacing(record))
+        return make_builtin(cls(**params), _site_count(record), _spacing(record))
     return load_custom(record)

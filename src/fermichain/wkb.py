@@ -65,10 +65,6 @@ class Well:
     lower_kind: str = TURNING_POINT
     upper_kind: str = TURNING_POINT
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class Region:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -316,6 +317,12 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     ("filling-curve", {"energy_grid": "x"}),
     ("filling-curve", {"energy_grid": {"count": "a"}}),
     ("filling-curve", {"energy_grid": {"min": None}}),
+    ("density", {"fillings": [0.5], "M": [5]}),
+    ("filling-curve", {"energies": [0.0], "energy_grid": {"count": 3}}),
+    ("filling-curve", {"energy_grd": {"count": 3}}),
+    ("filling-curve", {"energy_grid": {"cnt": 3}}),
+    ("wells", {"energy": 0.0, "mode_band": [0, 5]}),
+    ("filling-curve", {"energies": []}),
 ], ids=["density-empty", "compare-empty", "density-overfull", "density-M-above-N",
         "wells-mode-above-N", "envelope-mode-above-N", "frequencies-mode-above-N",
         "envelope-negative-mode", "envelope-energy-and-bad-mode",
@@ -328,7 +335,10 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
         "envelope-energy-string", "wells-energy-null", "frequencies-band-string",
         "frequencies-band-one-int", "frequencies-band-scalar",
         "filling-curve-energy-string", "filling-curve-grid-not-object",
-        "filling-curve-count-string", "filling-curve-min-null"])
+        "filling-curve-count-string", "filling-curve-min-null",
+        "density-fillings-and-M", "filling-curve-energies-and-grid",
+        "filling-curve-grid-misspelt", "filling-curve-grid-unknown-key",
+        "wells-mode-band", "filling-curve-energies-empty"])
 def test_out_of_range_input_is_config_error(tmp_path, capsys, task, params):
     cfgfile = _write_config(tmp_path, {
         "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
@@ -376,17 +386,48 @@ def _expressions(J):
     ("density", {"profile": {"expressions": {"J": "1", "B": "sqrt(1.995-x)"}, "N": 200,
                              "lattice_spacing": 0.01}, "M": [60]}),
     ("compare", {"profile": {**_HOMOGENEOUS, "N": 2}, "M": [1]}),
+    ("reproduce", {"targets": ["homogeneous-density"], "figure": "homogeneous-density"}),
+    ("reproduce", {"targets": []}),
+    ("reproduce", {"profile": _HOMOGENEOUS, "targets": ["homogeneous-density"]}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "lattice_spcing": 2.0}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS,
+                              "arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}}),
+    ("spectrum", {"profile": {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]},
+                              "expressions": {"J": "1", "B": "0"}}}),
 ], ids=["N-float", "N-string", "N-list", "spacing-string", "family-list",
         "parameter-bool", "J-string", "B-string", "J-list", "rescaled-string",
         "b-string", "array-entry-string", "profile-scalar", "path-scalar",
         "targets-scalar", "targets-nested-list", "expression-300-parentheses",
         "expression-300-signs", "expression-3000-terms", "J-negative",
-        "expression-J-negative", "expression-B-undefined", "compare-without-bulk"])
+        "expression-J-negative", "expression-B-undefined", "compare-without-bulk",
+        "targets-and-figure", "targets-empty", "reproduce-with-profile",
+        "profile-key-misspelt", "family-and-arrays", "arrays-and-expressions"])
 def test_malformed_profile_or_targets_is_config_error(tmp_path, capsys, task, config):
     cfgfile = _write_config(tmp_path, config)
     assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_profile_path_record_holds_only_the_path(tmp_path, capsys):
+    profile_file = tmp_path / "profile.json"
+    profile_file.write_text(json.dumps(_HOMOGENEOUS))
+    cfgfile = _write_config(tmp_path, {"profile": {"path": str(profile_file),
+                                                   "family": "homogeneous"}})
+    assert main(["spectrum", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_catalog_jobs_pass_the_config_rule(tmp_path):
+    # Catalog jobs reach their runners without _load_config.
+    assert set(cli._TASK_PARAMETERS) == set(cli.RUNNERS)
+    args = argparse.Namespace(out=str(tmp_path / "o"), format="csv", deterministic=True)
+    for jobs in cli._TARGETS.values():
+        for job in jobs:
+            args.config = _write_config(tmp_path, {"profile": job.profile, **job.params})
+            cli._load_config(job.task, args)
+            fermichain.profiles.from_config(job.profile)
 
 
 def test_density_needs_continuum(tmp_path):

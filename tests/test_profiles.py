@@ -353,6 +353,18 @@ def test_from_config_family():
         from_config({"family": "rainbow", "parameters": {"bogus": 1}, "N": 8})
 
 
+@pytest.mark.parametrize("name, parameters, params", [
+    ("homogeneous", {}, {"J": 1.0, "B": 0.0}),
+    ("krawtchouk", {"q": 0.25}, {"q": 0.25, "rescaled": True}),
+    ("rainbow", {"h": 2.0}, {"h": 2.0}),
+    ("cosine", {"J0": 0.5}, {"J0": 0.5}),
+    ("asymmetric_cosine", {"b": 3.0}, {"J0": 0.75, "b": 3.0, "r": 2}),
+])
+def test_from_config_family_names_and_parameters(name, parameters, params):
+    _, cont = from_config({"family": name, "parameters": parameters, "N": 8})
+    assert cont.family == name and cont.params == params
+
+
 _HOMOGENEOUS = {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0}, "N": 8}
 _EXPRESSIONS = {"expressions": {"J": "1", "B": "x"}, "N": 8}
 _ARRAYS = {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}
@@ -390,6 +402,15 @@ _ARRAYS = {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}
     {"expressions": {"J": "sqrt(1.995-x)", "B": "0"}, "N": 200, "lattice_spacing": 0.01},
     {"expressions": {"J": "1", "B": "sqrt(1.995-x)"}, "N": 200, "lattice_spacing": 0.01},
     {"expressions": {"J": "1", "B": "1/x"}, "N": 20},
+    # A record has the keys of exactly one shape.
+    {**_HOMOGENEOUS, "lattice_spcing": 2.0},
+    {**_HOMOGENEOUS, **_ARRAYS},
+    {**_ARRAYS, "expressions": {"J": "1", "B": "x"}},
+    {**_EXPRESSIONS, "parameters": {}},
+    {**_ARRAYS, "arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0], "C": [0.0]}},
+    {**_EXPRESSIONS, "expressions": {"J": "1", "B": "x", "C": "x"}},
+    {**_HOMOGENEOUS, "parameters": [1.0]},
+    {"family": "rainbow", "N": 8},
 ])
 def test_malformed_records_raise_profile_error(record):
     # The error is the whole report: no numpy RuntimeWarning reaches stderr.

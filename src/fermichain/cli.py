@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -228,6 +229,9 @@ def run_filling_curve(cfg: RunConfig, stem: str = "filling_curve") -> List[Path]
         lo, hi, count = grid.get("min", lo), grid.get("max", hi), grid.get("count", 101)
         if not (_is_real(lo) and _is_real(hi) and _is_int(count) and count >= 1):
             raise bad
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ConfigError(f"energy_grid max - min must be finite, got min {lo!r} "
+                              f"and max {hi!r}")
         es = np.linspace(float(lo), float(hi), count)
     energies = exact.eigenvalues(lat)
     nu_exact = [float(np.sum(energies <= e)) / lat.num_sites for e in es]
@@ -505,11 +509,6 @@ _TASK_PARAMETERS = {
 }
 
 
-def run(cfg: RunConfig) -> List[Path]:
-    """Execute a task; returns the written output paths."""
-    return RUNNERS[cfg.task](cfg)
-
-
 def _load_config(task: str, args) -> RunConfig:
     raw = _read_json(Path(args.config), "config")
     groups = _TASK_PARAMETERS[task]
@@ -547,9 +546,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.task, args)
-        written = run(cfg)
+        written = RUNNERS[cfg.task](cfg)
     except (ConfigError, profiles.ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (MemoryError, OverflowError) as exc:
+        # A size or value past memory or the float range, such as N = 10**13
+        # sites or a filling of 1e308.
+        print(f"config error: input too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericsError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import xlogy
 
-from .numerics import TridiagonalSymmetric, eigensolve_tridiagonal
+from .numerics import eigensolve_tridiagonal
 from .profiles import LatticeProfile
 
 
@@ -45,12 +45,11 @@ class SingleParticleSpectrum:
 
 @dataclass(frozen=True)
 class FilledState:
-    """The state occupying the M lowest single-particle modes."""
+    """The state occupying the M lowest single-particle modes; its Fermi
+    energy is the highest occupied level, None when M = 0."""
 
     M: int
     fermi_energy: Optional[float]
-    filling: float
-    zero_mode_degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class CorrelationMatrix:
     """Two-point function <c+_n c_m> in an M-filled state (rank-M projector)."""
 
     entries: np.ndarray
-    state: FilledState
 
 
 _SIGN_BLOCK = 256
@@ -84,8 +82,7 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
 
 def diagonalize(p: LatticeProfile) -> SingleParticleSpectrum:
     """Full spectrum and eigenfunctions of the chain Hamiltonian."""
-    m = TridiagonalSymmetric(p.fields, p.hoppings)
-    energies, modes = eigensolve_tridiagonal(m, want_vectors=True)
+    energies, modes = eigensolve_tridiagonal(p.fields, p.hoppings, want_vectors=True)
     return SingleParticleSpectrum(energies, _fix_signs(modes), p)
 
 
@@ -95,19 +92,15 @@ def eigenvalues(p: LatticeProfile) -> np.ndarray:
     LAPACK computes these without vectors, so they can differ from
     ``diagonalize(p).energies`` in about the 13th significant digit.
     """
-    m = TridiagonalSymmetric(p.fields, p.hoppings)
-    return eigensolve_tridiagonal(m, want_vectors=False)[0]
+    return eigensolve_tridiagonal(p.fields, p.hoppings, want_vectors=False)[0]
 
 
 def filled_state(s: SingleParticleSpectrum, M: int) -> FilledState:
-    """M-filled state bookkeeping; flags a zero mode at the Fermi level."""
+    """The M-filled state of spectrum ``s``, for 0 <= M <= N."""
     N = s.num_sites
     if not 0 <= M <= N:
         raise ExactError(f"M={M} outside [0, {N}]")
-    if M == 0:
-        return FilledState(0, None, 0.0)
-    eF = float(s.energies[M - 1])
-    return FilledState(M, eF, M / N, zero_mode_degenerate=abs(eF) <= 1e-12)
+    return FilledState(M, float(s.energies[M - 1]) if M else None)
 
 
 def critical_polynomial(
@@ -156,7 +149,7 @@ def correlation_matrix(s: SingleParticleSpectrum, st: FilledState) -> Correlatio
     if st.M > s.num_sites:
         raise ExactError("filled state does not match the spectrum size")
     occ = s.modes[:, : st.M]
-    return CorrelationMatrix(occ @ occ.T, st)
+    return CorrelationMatrix(occ @ occ.T)
 
 
 def density_exact(s: SingleParticleSpectrum, st: FilledState) -> np.ndarray:
@@ -166,36 +159,21 @@ def density_exact(s: SingleParticleSpectrum, st: FilledState) -> np.ndarray:
     return (s.modes[:, : st.M] ** 2).sum(axis=1)
 
 
-def _binary_entropy(lam: np.ndarray, kind: str, alpha: float) -> np.ndarray:
-    if kind == "von_neumann":
-        return -(xlogy(lam, lam) + xlogy(1.0 - lam, 1.0 - lam))
-    if kind == "renyi":
-        if alpha <= 0:
-            raise ExactError("Renyi index must be positive")
-        if alpha == 1.0:
-            return _binary_entropy(lam, "von_neumann", alpha)
-        return np.log(lam ** alpha + (1.0 - lam) ** alpha) / (1.0 - alpha)
-    raise ExactError(f"unknown entropy kind {kind!r}")
-
-
 def entanglement_entropy(
-    c: CorrelationMatrix,
-    block: Union[range, Tuple[int, int]],
-    kind: str = "von_neumann",
-    alpha: float = 2.0,
+    c: CorrelationMatrix, block: Tuple[int, int], alpha: float = 1.0
 ) -> float:
-    """Block entropy from the truncated correlation matrix.
+    """Renyi entropy S_alpha of the half-open site block (start, stop).
 
-    ``block`` is a contiguous half-open site range (start, stop).  The block
-    eigenvalues are clamped to [0, 1] within a 1e-12 window; anything
-    further outside indicates a broken projector and raises.
+    S_alpha = sum_k log(l_k^alpha + (1 - l_k)^alpha) / (1 - alpha) over the
+    eigenvalues l_k of the truncated correlation matrix; alpha = 1 (the
+    default) is its limit, the von Neumann entropy.  alpha must be
+    positive and finite.  The block eigenvalues are clamped to [0, 1]
+    within a 1e-12 window; anything further outside indicates a broken
+    projector and raises.
     """
-    if isinstance(block, range):
-        start, stop = block.start, block.stop
-        if block.step != 1:
-            raise ExactError("block must be contiguous")
-    else:
-        start, stop = block
+    if not 0 < alpha < math.inf:
+        raise ExactError(f"Renyi index must be positive and finite, got {alpha!r}")
+    start, stop = block
     N = c.entries.shape[0]
     if not (0 <= start <= stop <= N):
         raise ExactError(f"block [{start}, {stop}) outside [0, {N})")
@@ -209,7 +187,11 @@ def entanglement_entropy(
             f"[{lam.min()}, {lam.max()}]"
         )
     lam = np.clip(lam, 0.0, 1.0)
-    return float(_binary_entropy(lam, kind, alpha).sum())
+    if alpha == 1.0:
+        s = -(xlogy(lam, lam) + xlogy(1.0 - lam, 1.0 - lam))
+    else:
+        s = np.log(lam ** alpha + (1.0 - lam) ** alpha) / (1.0 - alpha)
+    return float(s.sum())
 
 
 def localize_eigenfunction(

@@ -9,7 +9,6 @@ so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -58,45 +57,22 @@ ROOT_ABS_TOL = 1e-14
 ROOT_REL_TOL = float(4 * np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class TridiagonalSymmetric:
-    """Real symmetric tridiagonal matrix: diagonal B_n, off-diagonal J_n."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-        if d.ndim != 1 or d.size < 1:
-            raise InvalidInputError("diag must be a 1-d array of length >= 1")
-        if e.ndim != 1 or e.size != d.size - 1:
-            raise InvalidInputError("offdiag length must be len(diag) - 1")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise InvalidInputError("matrix entries must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-
 def eigensolve_tridiagonal(
-    m: TridiagonalSymmetric, want_vectors: bool = True
+    diag: np.ndarray, offdiag: np.ndarray, want_vectors: bool = True
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Eigenvalues (ascending) and, optionally, orthonormal eigenvectors.
+    """Eigenvalues (ascending) and, optionally, orthonormal eigenvectors of
+    the symmetric tridiagonal matrix with diagonal ``diag`` (length N) and
+    off-diagonal ``offdiag`` (length N - 1).
 
-    Backed by LAPACK's symmetric tridiagonal drivers.  Eigenvalues of a
-    Jacobi matrix with nonzero off-diagonal entries are simple, so the
-    returned array is strictly increasing in that case; zero hoppings
-    decouple the matrix and may produce repeated eigenvalues.
+    Backed by LAPACK's symmetric tridiagonal drivers, which require finite
+    entries; ``profiles.LatticeProfile`` checks lengths and finiteness.
+    Eigenvalues of a Jacobi matrix with nonzero off-diagonal entries are
+    simple, so the returned array is strictly increasing in that case; zero
+    hoppings decouple the matrix and may produce repeated eigenvalues.
     """
     if want_vectors:
-        w, v = eigh_tridiagonal(m.diag, m.offdiag)
-        return w, v
-    w = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
-    return w, None
+        return eigh_tridiagonal(diag, offdiag)
+    return eigh_tridiagonal(diag, offdiag, eigvals_only=True), None
 
 
 def _quad_checked(f, lo, hi, rel_tol: float) -> float:

@@ -38,8 +38,8 @@ class ProfileError(ValueError):
 class LatticeProfile:
     """Lattice arrays of a finite chain.
 
-    hoppings has length N-1 and fields length N; length = N * lattice_spacing.
-    Zero hoppings are accepted but flagged: they decouple the chain, and the
+    hoppings has length N-1 and fields length N; length = N * lattice_spacing
+    is finite.  Zero hoppings are accepted: they decouple the chain, and the
     WKB formulas apply only where J > 0.
     """
 
@@ -60,6 +60,9 @@ class LatticeProfile:
             raise ProfileError("profile arrays must be finite")
         if not self.lattice_spacing > 0:
             raise ProfileError("lattice_spacing must be positive")
+        if not math.isfinite(self.length):
+            raise ProfileError("chain length N * lattice_spacing must be finite, "
+                               f"got {self.length}")
 
     @property
     def num_sites(self) -> int:
@@ -83,10 +86,6 @@ class LatticeProfile:
         """
         return (np.arange(self.num_sites) + 1) * self.lattice_spacing
 
-    @property
-    def has_zero_hoppings(self) -> bool:
-        return bool(np.any(self.hoppings == 0.0))
-
 
 @dataclass(frozen=True, eq=False)
 class ContinuumProfile:
@@ -106,8 +105,9 @@ class ContinuumProfile:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ProfileError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ProfileError("chain length N * lattice_spacing must be positive and "
+                               f"finite, got {self.length}")
         if not self.lattice_spacing > 0:
             raise ProfileError("lattice_spacing must be positive")
 

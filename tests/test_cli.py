@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,12 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     ("filling-curve", {"energy_grid": {"cnt": 3}}),
     ("wells", {"energy": 0.0, "mode_band": [0, 5]}),
     ("filling-curve", {"energies": []}),
+    ("filling-curve", {"energy_grid": {"count": 10**13}}),
+    ("density", {"fillings": [1e308]}),
+    ("density", {"fillings": [-1e308]}),
+    ("compare", {"fillings": [1e308]}),
+    ("compare", {"fillings": [-1e308]}),
+    ("filling-curve", {"energy_grid": {"min": -1e308, "max": 1e308, "count": 3}}),
 ], ids=["density-empty", "compare-empty", "density-overfull", "density-M-above-N",
         "wells-mode-above-N", "envelope-mode-above-N", "frequencies-mode-above-N",
         "envelope-negative-mode", "envelope-energy-and-bad-mode",
@@ -338,7 +348,10 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
         "filling-curve-count-string", "filling-curve-min-null",
         "density-fillings-and-M", "filling-curve-energies-and-grid",
         "filling-curve-grid-misspelt", "filling-curve-grid-unknown-key",
-        "wells-mode-band", "filling-curve-energies-empty"])
+        "wells-mode-band", "filling-curve-energies-empty",
+        "filling-curve-count-beyond-memory", "density-filling-overflows",
+        "density-filling-overflows-below", "compare-filling-overflows",
+        "compare-filling-overflows-below", "filling-curve-span-overflows"])
 def test_out_of_range_input_is_config_error(tmp_path, capsys, task, params):
     cfgfile = _write_config(tmp_path, {
         "profile": {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0},
@@ -355,6 +368,24 @@ _HOMOGENEOUS = {"family": "homogeneous", "parameters": {"J": 1.0, "B": 0.0}, "N"
 
 def _expressions(J):
     return {"expressions": {"J": J, "B": "0"}, "N": 40}
+
+
+# Profiles past memory (10**13 sites is 72.8 TiB, refused at allocation) or
+# past the float range, in N, in a parameter or in the length N * a.
+_OVERSIZED_PROFILES = [
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "N": 10**13}}),
+    ("spectrum", {"profile": {**_HOMOGENEOUS, "N": 10**400}}),
+    ("spectrum", {"profile": {"family": "asymmetric_cosine", "N": 40,
+                              "parameters": {"r": 10**400}}}),
+    ("density", {"profile": {**_HOMOGENEOUS, "lattice_spacing": 1e308},
+                 "fillings": [0.5]}),
+    ("density", {"profile": {"family": "rainbow", "parameters": {"h": 1.0}, "N": 40,
+                             "lattice_spacing": 1e307}, "fillings": [0.5]}),
+    ("density", {"profile": {**_expressions("1"), "lattice_spacing": 1e307},
+                 "fillings": [0.5]}),
+    ("spectrum", {"profile": {"arrays": {"J": [1.0], "B": [0.0, 0.0]},
+                              "lattice_spacing": 1e308}}),
+]
 
 
 @pytest.mark.parametrize("task, config", [
@@ -394,6 +425,7 @@ def _expressions(J):
                               "arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]}}}),
     ("spectrum", {"profile": {"arrays": {"J": [1.0, 1.0], "B": [0.0, 0.0, 0.0]},
                               "expressions": {"J": "1", "B": "0"}}}),
+    *_OVERSIZED_PROFILES,
 ], ids=["N-float", "N-string", "N-list", "spacing-string", "family-list",
         "parameter-bool", "J-string", "B-string", "J-list", "rescaled-string",
         "b-string", "array-entry-string", "profile-scalar", "path-scalar",
@@ -401,11 +433,41 @@ def _expressions(J):
         "expression-300-signs", "expression-3000-terms", "J-negative",
         "expression-J-negative", "expression-B-undefined", "compare-without-bulk",
         "targets-and-figure", "targets-empty", "reproduce-with-profile",
-        "profile-key-misspelt", "family-and-arrays", "arrays-and-expressions"])
+        "profile-key-misspelt", "family-and-arrays", "arrays-and-expressions",
+        "N-beyond-memory", "N-beyond-float", "r-beyond-float", "family-length-inf",
+        "rainbow-length-inf", "expression-length-inf", "arrays-length-inf"])
 def test_malformed_profile_or_targets_is_config_error(tmp_path, capsys, task, config):
     cfgfile = _write_config(tmp_path, config)
     assert main([task, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_oversized_input_prints_no_traceback_or_warning(tmp_path):
+    # A fresh interpreter, so stderr is what a user sees: Python warnings
+    # and tracebacks are not intercepted as they are inside pytest.
+    cases = [*_OVERSIZED_PROFILES,
+             ("filling-curve", {"profile": _HOMOGENEOUS,
+                                "energy_grid": {"count": 10**13}}),
+             ("density", {"profile": _HOMOGENEOUS, "fillings": [1e308]}),
+             ("compare", {"profile": _HOMOGENEOUS, "fillings": [-1e308]}),
+             ("filling-curve", {"profile": _HOMOGENEOUS,
+                                "energy_grid": {"min": -1e308, "max": 1e308,
+                                                "count": 3}})]
+    argvs = [[task, "--config", _write_config(tmp_path, config, f"c{i}.json"),
+              "--out", str(tmp_path / "o")] for i, (task, config) in enumerate(cases)]
+    script = ("import json, sys\nfrom fermichain.cli import main\n"
+              "print([main(a) for a in json.loads(sys.argv[1])])")
+    package_root = str(Path(fermichain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout.strip() == str([1] * len(cases))
+    lines = done.stderr.splitlines()
+    assert len(lines) == len(cases)
+    assert all(line.startswith("config error: ") for line in lines)
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert not (tmp_path / "o").exists()
 
 

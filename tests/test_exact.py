@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import xlogy
 from fermichain import exact
 from fermichain.exact import (
     ExactError,
+    FilledState,
     correlation_matrix,
     critical_polynomial,
     density_exact,
@@ -15,7 +17,7 @@ from fermichain.exact import (
     filled_state,
     localize_eigenfunction,
 )
-from fermichain.numerics import TridiagonalSymmetric, eigensolve_tridiagonal
+from fermichain.numerics import eigensolve_tridiagonal
 from fermichain.profiles import (
     AsymmetricCosine,
     Cosine,
@@ -125,7 +127,7 @@ def _reference_signs(v):
 @pytest.mark.parametrize("make_lat", _SIGN_CASES)
 def test_blocked_sign_fix_matches_column_rule_bitwise(make_lat):
     lat = make_lat()
-    _, raw = eigensolve_tridiagonal(TridiagonalSymmetric(lat.fields, lat.hoppings))
+    _, raw = eigensolve_tridiagonal(lat.fields, lat.hoppings)
     modes = diagonalize(lat).modes
     assert modes.flags.c_contiguous
     assert np.array_equal(modes, _reference_signs(raw))
@@ -158,10 +160,10 @@ def test_filled_state_bookkeeping():
     lat, _ = make_builtin(Homogeneous(1.0, 0.0), 3)
     s = diagonalize(lat)
     st = filled_state(s, 2)
-    assert st.fermi_energy == pytest.approx(0.0, abs=1e-14)
-    assert st.zero_mode_degenerate  # eps_1 = 0 for odd homogeneous chains
-    assert st.filling == pytest.approx(2 / 3)
-    assert filled_state(s, 0).fermi_energy is None
+    assert st.fermi_energy == pytest.approx(0.0, abs=1e-14)  # eps_1 = 0 at odd N
+    assert st == FilledState(2, s.energies[1])
+    assert [f.name for f in fields(FilledState)] == ["M", "fermi_energy"]
+    assert filled_state(s, 0) == FilledState(0, None)
     with pytest.raises(ExactError):
         filled_state(s, 4)
 
@@ -316,15 +318,39 @@ def test_entropy_renyi():
     lat, _ = make_builtin(Rainbow(h=1.0), 40)
     s = diagonalize(lat)
     C = correlation_matrix(s, filled_state(s, 20))
-    got = entanglement_entropy(C, (0, 20), kind="renyi", alpha=2.0)
+    got = entanglement_entropy(C, (0, 20), alpha=2.0)
     assert got == pytest.approx(_entropy_oracle(lat, 20, (0, 20), alpha=2.0), abs=1e-10)
     # alpha = 1 falls back to von Neumann
-    vn = entanglement_entropy(C, (0, 20), kind="renyi", alpha=1.0)
+    vn = entanglement_entropy(C, (0, 20), alpha=1.0)
     assert vn == pytest.approx(entanglement_entropy(C, (0, 20)), abs=1e-12)
     with pytest.raises(ExactError):
-        entanglement_entropy(C, (0, 20), kind="renyi", alpha=-1.0)
+        entanglement_entropy(C, (0, 20), alpha=-1.0)
     with pytest.raises(ExactError):
         entanglement_entropy(C, (0, 50))
+
+
+def test_entropy_index_one_is_the_default_bit_for_bit():
+    lat, _ = make_builtin(Rainbow(h=1.0), 40)
+    s = diagonalize(lat)
+    C = correlation_matrix(s, filled_state(s, 20))
+    assert entanglement_entropy(C, (3, 25), alpha=1.0) == entanglement_entropy(C, (3, 25))
+    assert entanglement_entropy(C, (3, 25), 1) == entanglement_entropy(C, (3, 25))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_entropy_index_must_be_positive_and_finite(alpha):
+    lat, _ = make_builtin(Rainbow(h=1.0), 40)
+    s = diagonalize(lat)
+    C = correlation_matrix(s, filled_state(s, 20))
+    with pytest.raises(ExactError, match="Renyi index"):
+        entanglement_entropy(C, (0, 20), alpha=alpha)
+
+
+def test_correlation_matrix_holds_only_its_entries():
+    s = diagonalize(LatticeProfile([1.0], [0.0, 0.0]))
+    C = correlation_matrix(s, filled_state(s, 1))
+    assert [f.name for f in fields(C)] == ["entries"]
+    assert np.allclose(C.entries, [[0.5, -0.5], [-0.5, 0.5]])
 
 
 # --- localization -------------------------------------------------------------------

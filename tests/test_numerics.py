@@ -7,12 +7,12 @@ import pytest
 
 import fermichain
 from fermichain import numerics
+from fermichain.profiles import LatticeProfile, ProfileError
 from fermichain.numerics import (
     BracketError,
     ConvergenceError,
     DomainError,
     InvalidInputError,
-    TridiagonalSymmetric,
     clausen_cl2,
     eigensolve_tridiagonal,
     find_root,
@@ -23,16 +23,14 @@ from fermichain.numerics import (
 # --- eigensolver -----------------------------------------------------------
 
 def test_exchange_matrix_2x2():
-    m = TridiagonalSymmetric([0.0, 0.0], [1.0])
-    w, v = eigensolve_tridiagonal(m)
+    w, v = eigensolve_tridiagonal(np.zeros(2), np.ones(1))
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
     assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
 
 
 def test_homogeneous_n3():
     # B - 2J cos(pi k/(N+1)) at N=3, J=1, B=0 gives -sqrt(2), 0, sqrt(2)
-    m = TridiagonalSymmetric([0.0, 0.0, 0.0], [1.0, 1.0])
-    w, _ = eigensolve_tridiagonal(m, want_vectors=False)
+    w, _ = eigensolve_tridiagonal(np.zeros(3), np.ones(2), want_vectors=False)
     assert np.allclose(w, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-14)
 
 
@@ -42,26 +40,28 @@ def test_krawtchouk_integer_spectrum():
     n = np.arange(N)
     J = np.sqrt(q * (1 - q) * (n[:-1] + 1) * (N - n[:-1] - 1))
     B = (N - 1) * q + (1 - 2 * q) * n
-    w, _ = eigensolve_tridiagonal(TridiagonalSymmetric(B, J), want_vectors=False)
+    w, _ = eigensolve_tridiagonal(B, J, want_vectors=False)
     assert np.abs(w - np.arange(N)).max() < 1e-10
 
 
 def test_single_site():
-    w, v = eigensolve_tridiagonal(TridiagonalSymmetric([5.0], []))
+    w, v = eigensolve_tridiagonal(np.array([5.0]), np.array([]))
     assert w[0] == 5.0 and v[0, 0] == 1.0
 
 
 def test_nonfinite_entries_rejected():
-    with pytest.raises(InvalidInputError):
-        TridiagonalSymmetric([0.0, np.nan], [1.0])
-    with pytest.raises(InvalidInputError):
-        TridiagonalSymmetric([0.0, 0.0], [np.inf])
+    # The eigensolver's inputs come from a LatticeProfile, which refuses
+    # non-finite fields and hoppings.
+    with pytest.raises(ProfileError):
+        LatticeProfile([1.0], [0.0, np.nan])
+    with pytest.raises(ProfileError):
+        LatticeProfile([np.inf], [0.0, 0.0])
 
 
 def test_zero_offdiagonal_decouples():
     # Two decoupled 1x1 blocks with equal diagonal: repeated eigenvalue,
     # orthonormality still holds.
-    w, v = eigensolve_tridiagonal(TridiagonalSymmetric([1.0, 1.0], [0.0]))
+    w, v = eigensolve_tridiagonal(np.ones(2), np.zeros(1))
     assert np.allclose(w, [1.0, 1.0])
     assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
 
@@ -70,9 +70,9 @@ def test_zero_offdiagonal_decouples():
 def test_random_matrices_diagonalize(seed):
     rng = np.random.default_rng(seed)
     N = int(rng.integers(2, 65))
-    m = TridiagonalSymmetric(rng.normal(size=N), rng.normal(size=N - 1))
-    w, v = eigensolve_tridiagonal(m)
-    H = np.diag(m.diag) + np.diag(m.offdiag, 1) + np.diag(m.offdiag, -1)
+    d, e = rng.normal(size=N), rng.normal(size=N - 1)
+    w, v = eigensolve_tridiagonal(d, e)
+    H = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     off = v.T @ H @ v - np.diag(w)
     assert np.abs(off).max() < 1e-9
     assert np.abs(v.T @ v - np.eye(N)).max() < 1e-10
@@ -82,15 +82,12 @@ def test_random_matrices_diagonalize(seed):
 def test_eigenvalues_are_critical_polynomial_roots():
     # Each eigenvalue annihilates P_N relative to the local slope.
     from fermichain.exact import critical_polynomial
-    from fermichain.profiles import LatticeProfile
 
     rng = np.random.default_rng(7)
     for _ in range(4):
         N = int(rng.integers(3, 33))
         p = LatticeProfile(rng.uniform(0.2, 1.5, N - 1), rng.normal(size=N))
-        w, _ = eigensolve_tridiagonal(
-            TridiagonalSymmetric(p.fields, p.hoppings), want_vectors=False
-        )
+        w, _ = eigensolve_tridiagonal(p.fields, p.hoppings, want_vectors=False)
 
         def P_N(e):
             vals, exps = critical_polynomial(p, e)
